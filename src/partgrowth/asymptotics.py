@@ -20,14 +20,14 @@ evaluates that ratio exactly as a rational.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .counting import PartitionTable, partition_table, pentagonal_table
-from .partsets import (AllParts, FileParts, FiniteParts, PartSetSpec,
-                       ResidueParts, gcd_of_set)
-from .reports import ProbeReport, trend_direction
+from .counting import partition_table
+from .partsets import (FileParts, FiniteParts, PartSetSpec, ResidueParts,
+                       analytic_gcd)
+from .reports import ProbeReport, judge_tail
 
 #: pi * sqrt(2/3), the growth constant of the unrestricted counts.
 C0 = math.pi * math.sqrt(2.0 / 3.0)
@@ -125,18 +125,6 @@ def finite_set_leading_ratio(table, n) -> LeadingRatio:
 # Probes
 # ---------------------------------------------------------------------------
 
-def _table_for(spec, limit, table):
-    if table is not None:
-        if table.limit < limit:
-            raise ValueError(
-                f"supplied table stops at {table.limit}, need {limit}")
-        return table
-    if isinstance(spec, AllParts):
-        # the recurrence is O(limit^1.5); the coin DP would be O(limit^2)
-        return pentagonal_table(limit)
-    return partition_table(spec, limit)
-
-
 def density_growth_probe(spec, grid, *, lower_density, upper_density,
                          band=None, rel_tol=0.10, table=None) -> ProbeReport:
     """Judge the tail of r(n) against the density-derived band.
@@ -152,7 +140,9 @@ def density_growth_probe(spec, grid, *, lower_density, upper_density,
     strictly decreasing trend across the whole grid.
 
     Sets with a common divisor d > 1 are rejected: divide through by d
-    and probe the normalized set.
+    and probe the normalized set.  d is the gcd of the whole set, read
+    from its symbolic form; the parts up to the grid's end may share a
+    larger divisor (finite:2,3 on the grid 1,2 sees only the part 2).
     """
     grid = tuple(int(n) for n in grid)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
@@ -163,60 +153,39 @@ def density_growth_probe(spec, grid, *, lower_density, upper_density,
         raise ValueError(
             f"need 0 <= lower <= upper <= 1, got {lower_density}, {upper_density}")
     limit = grid[-1]
-    g = gcd_of_set(spec, limit)
-    if g.value != 1:
+    g = analytic_gcd(spec)
+    if g != 1:
         raise ValueError(
-            f"set has common divisor {g.value}; normalize by the gcd and "
+            f"set has common divisor {g}; normalize by the gcd and "
             f"probe the divided-through set")
-    tab = _table_for(spec, limit, table)
-    series = growth_ratio_series(tab, grid)
-    values = series.ratios
-    tail = values[-max(1, len(values) // 3):]
-    direction = trend_direction([v for v in values if v is not None])
+    if table is None:
+        table = partition_table(spec, limit)
+    elif table.limit < limit:
+        raise ValueError(
+            f"supplied table stops at {table.limit}, need {limit}")
+    values = growth_ratio_series(table, grid).ratios
 
     if band is not None:
         lo, hi = float(band[0]), float(band[1])
+        band_origin = "user"
     elif beta > 0.0:
         lo = (1.0 - rel_tol) * math.sqrt(alpha)
         hi = min(1.0, (1.0 + rel_tol) * math.sqrt(beta))
-    else:
-        lo = hi = None
-
-    if lo is not None:
-        passed = all(v is not None and lo <= v <= hi for v in tail)
-    else:
-        # decay regime: demand positive samples that strictly decrease
-        passed = (all(v is not None and v > 0.0 for v in tail)
-                  and direction == -1)
-
-    finite_tail = [v for v in tail if v is not None]
-    if band is not None:
-        band_origin = "user"
-    elif lo is not None:
         band_origin = "density-default"
     else:
+        # decay regime: judge_tail demands positive, strictly falling samples
+        lo = hi = None
         band_origin = "decay-qualitative"
-    return ProbeReport(
-        name="density-growth",
-        xs=grid,
-        values=values,
-        target_low=lo,
-        target_high=hi,
-        passed=passed,
-        tail_min=min(finite_tail) if finite_tail else math.nan,
-        tail_max=max(finite_tail) if finite_tail else math.nan,
-        direction=direction,
-        meta={
-            "set": str(spec),
-            "lower_density": float(lower_density),
-            "upper_density": float(upper_density),
-            "sqrt_lower_target": math.sqrt(alpha),
-            "sqrt_upper_target": math.sqrt(beta),
-            "band_origin": band_origin,
-            "band_note": "band widths are finite-scale calibration choices; "
-                         "the limit statements fix no tolerance",
-        },
-    )
+    return judge_tail("density-growth", grid, values, lo, hi, meta={
+        "set": str(spec),
+        "lower_density": float(lower_density),
+        "upper_density": float(upper_density),
+        "sqrt_lower_target": math.sqrt(alpha),
+        "sqrt_upper_target": math.sqrt(beta),
+        "band_origin": band_origin,
+        "band_note": "band widths are finite-scale calibration choices; "
+                     "the limit statements fix no tolerance",
+    })
 
 
 def arithmetic_progression_probe(modulus, residues, grid, *, band=None,
@@ -237,21 +206,9 @@ def arithmetic_progression_probe(modulus, residues, grid, *, band=None,
     report = density_growth_probe(
         spec, grid, lower_density=density, upper_density=density,
         band=band, rel_tol=rel_tol, table=table)
-    meta = dict(report.meta)
-    meta.update({
+    return replace(report, name="arithmetic-progression", meta={
+        **report.meta,
         "probe_target": math.sqrt(density),
         "modulus": modulus,
         "residues": list(spec.residues),
     })
-    return ProbeReport(
-        name="arithmetic-progression",
-        xs=report.xs,
-        values=report.values,
-        target_low=report.target_low,
-        target_high=report.target_high,
-        passed=report.passed,
-        tail_min=report.tail_min,
-        tail_max=report.tail_max,
-        direction=report.direction,
-        meta=meta,
-    )

@@ -27,9 +27,8 @@ from fractions import Fraction
 
 from .asymptotics import (arithmetic_progression_probe, density_growth_probe,
                           finite_set_leading_ratio, growth_ratio_series)
-from .counting import (CheckReport, check_cofinite_monotonicity,
-                       check_shift_monotonicity, partition_table,
-                       pentagonal_table, window_max_location)
+from .counting import (check_cofinite_monotonicity, check_shift_monotonicity,
+                       check_window_max, partition_table, pentagonal_table)
 from .genfun import (abelian_density_target, abelian_probe,
                      log_gf, log_gf_coefficients, mobius_invert_sums,
                      tauberian_probe)
@@ -229,7 +228,9 @@ class _TabularReport:
 def _emit(report, opts):
     fmt = opts["format"]
     if fmt == "json":
-        text = json.dumps(report.to_json_obj(), indent=2) + "\n"
+        # allow_nan=False: a NaN or infinity in a report is a bug, not JSON
+        text = json.dumps(report.to_json_obj(), indent=2,
+                          allow_nan=False) + "\n"
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -248,13 +249,6 @@ def _emit(report, opts):
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
-
-def _table_for_ratio(spec, limit):
-    # the recurrence reaches large n far faster than the all-parts DP
-    if isinstance(spec, AllParts):
-        return pentagonal_table(limit)
-    return partition_table(spec, limit)
-
 
 def _cmd_table(opts):
     spec = parse_set_spec(opts["set"])
@@ -279,7 +273,7 @@ def _cmd_density(opts):
 def _cmd_ratio(opts):
     spec = parse_set_spec(opts["set"])
     grid = parse_grid(opts["grid"])
-    table = _table_for_ratio(spec, grid[-1])
+    table = partition_table(spec, grid[-1])
     _emit(growth_ratio_series(table, grid), opts)
     return 0
 
@@ -410,20 +404,6 @@ def _cmd_tauberian_probe(opts):
     return _probe_exit(report, opts)
 
 
-def _window_check(table, least_part):
-    checked = 0
-    running_max = table[0]
-    for x in range(0, table.limit + 1):
-        if table[x] > running_max:
-            running_max = table[x]
-        u = window_max_location(table, least_part, x)
-        checked += 1
-        if not (x - least_part < u <= x and table[u] == running_max):
-            return CheckReport(False, checked, (x, u),
-                               note=f"least_part={least_part}")
-    return CheckReport(True, checked, note=f"least_part={least_part}")
-
-
 def _cmd_check_lemmas(opts):
     spec = parse_set_spec(opts["set"])
     limit = _parse_int_opt(opts["limit"], "limit", 1)
@@ -437,10 +417,10 @@ def _cmd_check_lemmas(opts):
         if table[shift] >= 1:
             checks.append((f"shift-monotonic(shift={shift})",
                            check_shift_monotonicity(table, shift)))
-    checks.append(("window-max", _window_check(table, members[0])))
+    checks.append(("window-max", check_window_max(table, members[0], limit)))
     if isinstance(spec, CofiniteTail) and limit >= 3 * spec.start + 3:
         checks.append((f"cofinite-strict(start={spec.start})",
-                       check_cofinite_monotonicity(spec.start, limit)))
+                       check_cofinite_monotonicity(table)))
     all_ok = all(rep.ok for _, rep in checks)
     rows = [("check", "ok", "checked", "note")]
     rows += [(name, rep.ok, rep.checked, rep.note) for name, rep in checks]

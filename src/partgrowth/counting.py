@@ -1,18 +1,21 @@
 """Exact partition counting and structural checks on the count sequence.
 
-partition_table builds p_A(0..limit) for a symbolic part set with the
-classic bounded-coin dynamic program: parts larger than the table limit
-can never occur in a partition of n <= limit, so truncating the part set
-at the limit is lossless and the table is exact (Python integers keep it
-exact at any size).  pentagonal_table provides an independent route to
-the unrestricted counts via the alternating recurrence driven by the
-generalized pentagonal numbers, and count_partitions_bruteforce a third
-route by direct enumeration for tiny n.
+partition_table is the one table builder: it picks the route for p_A(0..limit)
+from the part set.  All parts go through pentagonal_table, the alternating
+recurrence driven by the generalized pentagonal numbers (O(limit^1.5));
+every other set goes through table_from_parts, the classic bounded-coin
+dynamic program.  Parts larger than the table limit can never occur in a
+partition of n <= limit, so truncating the part set at the limit is
+lossless and the table is exact (Python integers keep it exact at any
+size).  table_from_parts on the parts 1..limit is the coin-DP reference
+that the recurrence is checked against, and count_partitions_bruteforce
+a third route by direct enumeration for tiny n.
 
 The check_* functions verify inequalities the count sequence must satisfy
-(translation monotonicity, eventual strict growth for cofinite sets) and
+(translation monotonicity, eventual strict growth for cofinite sets).
 window_max_location finds where on [0, x] the count is maximized, which
-for a set with least part a1 always happens within a1 of the right edge.
+for a set with least part a1 always happens within a1 of the right edge;
+check_window_max verifies that for every prefix [0, y], y <= x, in one pass.
 """
 
 from __future__ import annotations
@@ -77,7 +80,13 @@ def table_from_parts(parts, limit, spec=None) -> PartitionTable:
 
 
 def partition_table(spec, limit) -> PartitionTable:
-    """Exact p_A(n) for 0 <= n <= limit."""
+    """Exact p_A(n) for 0 <= n <= limit.
+
+    All parts take the pentagonal recurrence, O(limit^1.5); every other
+    set takes the coin DP, O(limit * |A cap [1, limit]|).
+    """
+    if isinstance(spec, AllParts):
+        return pentagonal_table(limit)
     parts = enumerate_parts(spec, limit) if limit >= 1 else []
     return table_from_parts(parts, limit, spec=spec)
 
@@ -199,15 +208,19 @@ def check_shift_monotonicity(table, shift) -> CheckReport:
     return CheckReport(True, checked, note=f"shift={shift}")
 
 
+def _check_window_args(table, least_part, x):
+    if not 0 <= x <= table.limit:
+        raise ValueError(f"x={x} outside table range [0, {table.limit}]")
+    if least_part < 1:
+        raise ValueError(f"least part must be >= 1, got {least_part}")
+
+
 def window_max_location(table, least_part, x) -> int:
     """The largest u in [0, x] with p_A(u) maximal; always lands in
     (x - least_part, x] because adding one copy of the least part maps
     partitions of u to partitions of u + least_part.
     """
-    if not 0 <= x <= table.limit:
-        raise ValueError(f"x={x} outside table range [0, {table.limit}]")
-    if least_part < 1:
-        raise ValueError(f"least part must be >= 1, got {least_part}")
+    _check_window_args(table, least_part, x)
     best_u = 0
     for u in range(0, x + 1):
         if table[u] >= table[best_u]:
@@ -216,25 +229,39 @@ def window_max_location(table, least_part, x) -> int:
 
 
 def check_window_max(table, least_part, x) -> CheckReport:
-    """Verify the maximizer over [0, x] lies within least_part of x."""
-    u = window_max_location(table, least_part, x)
-    ok = x - least_part < u <= x
-    violation = None if ok else (x, u)
-    return CheckReport(ok, x + 1, violation, note=f"x={x}, least_part={least_part}")
+    """Verify, for every y in [0, x], that the maximizer over [0, y] lies
+    within least_part of y.
+
+    One O(x) pass: the running maximizer (ties go to the larger index) is
+    window_max_location(table, least_part, y) for each y in turn.  The
+    violation is (y, maximizer) at the first failing prefix.
+    """
+    _check_window_args(table, least_part, x)
+    values = table.values
+    note = f"least_part={least_part}"
+    best_u = 0
+    for y in range(x + 1):
+        if values[y] >= values[best_u]:
+            best_u = y
+        if best_u <= y - least_part:
+            return CheckReport(False, y + 1, (y, best_u), note=note)
+    return CheckReport(True, x + 1, note=note)
 
 
-def check_cofinite_monotonicity(start, limit) -> CheckReport:
-    """For the tail set {n >= start}: counts are nondecreasing from n=1 on,
-    and strictly increasing once n >= 3*start + 2.
+def check_cofinite_monotonicity(table) -> CheckReport:
+    """For the table of a tail set {n >= start}: counts are nondecreasing
+    from n=1 on, and strictly increasing once n >= 3*start + 2.
 
     The strict phase needs headroom beyond its threshold, hence the guard
-    limit >= 3*start + 3.
+    table.limit >= 3*start + 3.
     """
+    if not isinstance(table.spec, CofiniteTail):
+        raise ValueError(f"need the table of a cofinite tail, got {table.spec}")
+    start, limit = table.spec.start, table.limit
     if limit < 3 * start + 3:
         raise ValueError(
             f"limit {limit} too small; need >= {3 * start + 3} "
             f"to exercise the strict phase")
-    table = partition_table(CofiniteTail(start), limit)
     checked = 0
     strict_from = 3 * start + 2
     for n in range(1, limit):

@@ -31,7 +31,7 @@ from functools import cached_property, lru_cache
 
 from .partsets import (FileParts, FiniteParts, PartSetSpec, counting_function,
                        enumerate_parts, primes_upto)
-from .reports import ProbeReport, trend_direction
+from .reports import ProbeReport, default_band, judge_tail
 
 PI2_OVER_6 = math.pi * math.pi / 6.0
 
@@ -269,32 +269,15 @@ def abelian_probe(spec, density, x_grid, *, rel_tol=0.02, tail_tol=1e-9,
     if not all(0.0 < x < 1.0 for x in xs):
         raise ValueError(f"x grid must lie in (0, 1): {xs}")
     target = abelian_density_target(density)
-    if band is not None:
-        lo, hi = float(band[0]), float(band[1])
-    elif target > 0.0:
-        lo = target * (1.0 - rel_tol)
-        hi = target * (1.0 + rel_tol)
-    else:
-        lo, hi = 0.0, rel_tol
+    lo, hi = ((float(band[0]), float(band[1])) if band is not None
+              else default_band(target, rel_tol))
     values = tuple((1.0 - x) * log_gf(spec, x, tail_tol=tail_tol) for x in xs)
-    tail = values[-max(1, len(values) // 3):]
-    passed = all(lo <= v <= hi for v in tail)
     last_dev = (abs(values[-1] - target) / target if target > 0.0
                 else abs(values[-1]))
-    return ProbeReport(
-        name="abelian",
-        xs=xs,
-        values=values,
-        target_low=lo,
-        target_high=hi,
-        passed=passed,
-        tail_min=min(tail),
-        tail_max=max(tail),
-        direction=trend_direction(values),
-        meta={"set": str(spec), "density": float(density), "target": target,
-              "last_point_deviation": last_dev, "tail_tol": tail_tol,
-              "band_origin": "user" if band is not None else "target-default"},
-    )
+    return judge_tail("abelian", xs, values, lo, hi, meta={
+        "set": str(spec), "density": float(density), "target": target,
+        "last_point_deviation": last_dev, "tail_tol": tail_tol,
+        "band_origin": "user" if band is not None else "target-default"})
 
 
 def tauberian_probe(spec, target_rate, n_grid, *, rel_tol=0.01) -> ProbeReport:
@@ -312,23 +295,7 @@ def tauberian_probe(spec, target_rate, n_grid, *, rel_tol=0.01) -> ProbeReport:
     target = float(target_rate)
     if target < 0:
         raise ValueError(f"target rate must be >= 0, got {target_rate}")
-    if target > 0:
-        lo = target * (1.0 - rel_tol)
-        hi = target * (1.0 + rel_tol)
-    else:
-        lo, hi = 0.0, rel_tol
+    lo, hi = default_band(target, rel_tol)
     values = tuple(float(sums_via_counting(spec, n) / n) for n in grid)
-    tail = values[-max(1, len(values) // 3):]
-    passed = all(lo <= v <= hi for v in tail)
-    return ProbeReport(
-        name="tauberian",
-        xs=grid,
-        values=values,
-        target_low=lo,
-        target_high=hi,
-        passed=passed,
-        tail_min=min(tail),
-        tail_max=max(tail),
-        direction=trend_direction(values),
-        meta={"set": str(spec), "target": target},
-    )
+    return judge_tail("tauberian", grid, values, lo, hi,
+                      meta={"set": str(spec), "target": target})

@@ -261,7 +261,7 @@ class GcdResult(NamedTuple):
     stable: bool
 
 
-def _analytic_gcd(spec):
+def analytic_gcd(spec):
     """gcd of the full (possibly infinite) set, from its symbolic form."""
     if isinstance(spec, (AllParts, PrimeParts)):
         return 1
@@ -289,7 +289,7 @@ def gcd_of_set(spec, probe_bound) -> GcdResult:
         g = math.gcd(g, a)
         if g == 1:
             break
-    return GcdResult(g, g == _analytic_gcd(spec))
+    return GcdResult(g, g == analytic_gcd(spec))
 
 
 def normalize_by_gcd(spec, d) -> PartSetSpec:

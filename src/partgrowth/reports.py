@@ -34,8 +34,9 @@ class ProbeReport:
     """Outcome of one finite-scale probe.
 
     xs/values hold the sampled grid; target_low/target_high the admissible
-    band; tail_min/tail_max the extremes over the tail portion actually
-    judged; direction the strict trend over the whole grid (+1/-1/0).
+    band; tail_min/tail_max the extremes over the defined samples of the
+    tail portion actually judged (None when it has none); direction the
+    strict trend over the whole grid (+1/-1/0).
     """
 
     name: str
@@ -44,8 +45,8 @@ class ProbeReport:
     target_low: float | None
     target_high: float | None
     passed: bool
-    tail_min: float
-    tail_max: float
+    tail_min: float | None
+    tail_max: float | None
     direction: int
     meta: dict = field(default_factory=dict)
 
@@ -72,6 +73,36 @@ class ProbeReport:
         for x, v in zip(self.xs, self.values):
             rows.append([_json_scalar(x), _json_scalar(v)])
         return rows
+
+
+def default_band(target, rel_tol):
+    """target widened by rel_tol either way; at target 0, rel_tol becomes
+    an absolute ceiling, band [0, rel_tol]."""
+    if target > 0.0:
+        return target * (1.0 - rel_tol), target * (1.0 + rel_tol)
+    return 0.0, rel_tol
+
+
+def judge_tail(name, xs, values, lo, hi, meta) -> ProbeReport:
+    """Judge the tail (last third of the grid, at least one sample).
+
+    Band mode (lo is not None): every tail sample is defined and lies in
+    [lo, hi].  Decay mode (lo is None): every tail sample is defined and
+    positive, and the defined samples strictly decrease across the grid.
+    Undefined samples are None and never count toward tail_min/tail_max.
+    """
+    tail = values[-max(1, len(values) // 3):]
+    direction = trend_direction([v for v in values if v is not None])
+    if lo is not None:
+        passed = all(v is not None and lo <= v <= hi for v in tail)
+    else:
+        passed = (all(v is not None and v > 0.0 for v in tail)
+                  and direction == -1)
+    defined = [v for v in tail if v is not None]
+    return ProbeReport(
+        name=name, xs=xs, values=values, target_low=lo, target_high=hi,
+        passed=passed, tail_min=min(defined, default=None),
+        tail_max=max(defined, default=None), direction=direction, meta=meta)
 
 
 def _json_scalar(v):

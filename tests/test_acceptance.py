@@ -18,7 +18,7 @@ from partgrowth.counting import (check_cofinite_monotonicity,
                                  check_shift_monotonicity,
                                  count_partitions_bruteforce, partition_table,
                                  pentagonal_table, scaled_count,
-                                 window_max_location)
+                                 table_from_parts, window_max_location)
 from partgrowth.genfun import (log_gf, log_gf_coefficients,
                                mobius_invert_sums, sums_via_counting)
 from partgrowth.partsets import (AllParts, CofiniteTail, FiniteParts,
@@ -78,7 +78,7 @@ def test_criterion_01_dp_matches_bruteforce():
 
 def test_criterion_02_pentagonal_cross_check():
     start = time.perf_counter()
-    dp = partition_table(AllParts(), 5000)
+    dp = table_from_parts(range(1, 5001), 5000)
     pent = pentagonal_table(5000)
     agree = dp.values == pent.values
     anchor = pent[100] == 190569292
@@ -114,7 +114,8 @@ def test_criterion_03_lemma_suite():
                 break
 
     for tail_start in (1, 2, 3, 5):
-        rep = check_cofinite_monotonicity(tail_start, 200)
+        rep = check_cofinite_monotonicity(
+            partition_table(CofiniteTail(tail_start), 200))
         if not rep.ok:
             problems.append((CofiniteTail(tail_start), "cofinite",
                              rep.first_violation))

@@ -214,6 +214,30 @@ def test_direct_probe_gcd_guard(capsys):
     assert "normalize" in err
 
 
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_direct_probe_without_defined_samples_is_valid_json(capsys):
+    # no partition of 1 or 7 into 3s and 5s: every ratio is undefined
+    code, out, _ = _run("direct-probe", "--set", "finite:3,5", "--grid",
+                        "1,7", "--alpha", "0", "--beta", "0", capsys=capsys)
+    assert code == 1
+    obj = _strict_json(out)
+    assert obj["values"] == [None, None]
+    assert obj["tail_min"] is None and obj["tail_max"] is None
+
+
+def test_direct_probe_gcd_is_of_the_whole_set(capsys):
+    # the parts up to 2 are {2}, but gcd(2, 3) = 1: a report, not a refusal
+    code, out, _ = _run("direct-probe", "--set", "finite:2,3", "--grid",
+                        "1,2", "--alpha", "0", "--beta", "0", capsys=capsys)
+    assert code == 1
+    assert _strict_json(out)["values"] == [None, 0.0]
+
+
 def test_arithpro_probe_requires_residue_set(capsys):
     code, _, err = _run("arithpro-probe", "--set", "primes", "--grid", "10,20",
                         capsys=capsys)

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from partgrowth.counting import (BRUTEFORCE_LIMIT, PartitionTable,
                                  check_cofinite_monotonicity,
@@ -113,7 +115,11 @@ def test_pentagonal_examples():
 
 
 def test_pentagonal_matches_dp():
-    assert pentagonal_table(300).values == partition_table(AllParts(), 300).values
+    # partition_table(AllParts()) is the recurrence itself; the coin DP
+    # over the parts 1..N is the independent route
+    dp = table_from_parts(range(1, 301), 300)
+    assert pentagonal_table(300).values == dp.values
+    assert partition_table(AllParts(), 300).values == dp.values
 
 
 # -- gcd-scaled counts ------------------------------------------------------
@@ -186,24 +192,57 @@ def test_window_max_exhaustive_small():
             assert report.ok, (spec, x, report)
 
 
+def _window_max_by_prefix(table, least, x):
+    """The per-prefix definition, one window_max_location call per y."""
+    for y in range(x + 1):
+        u = window_max_location(table, least, y)
+        if not y - least < u <= y:
+            return False, y + 1, (y, u)
+    return True, x + 1, None
+
+
+def test_window_max_reports_first_failing_prefix():
+    # not a partition table: the maximum at 1 is too far back from y = 2
+    fake = PartitionTable(spec=AllParts(), limit=3, values=(1, 5, 1, 1))
+    report = check_window_max(fake, 1, 3)
+    assert (report.ok, report.checked, report.first_violation) == (
+        False, 3, (2, 1))
+    assert report.note == "least_part=1"
+
+
+@given(values=st.lists(st.integers(0, 6), min_size=1, max_size=14),
+       least=st.integers(1, 4), data=st.data())
+def test_window_max_one_pass_matches_prefix_definition(values, least, data):
+    table = PartitionTable(spec=AllParts(), limit=len(values) - 1,
+                           values=tuple(values))
+    x = data.draw(st.integers(0, table.limit))
+    report = check_window_max(table, least, x)
+    assert (report.ok, report.checked, report.first_violation) == \
+        _window_max_by_prefix(table, least, x)
+
+
 def test_window_max_validation():
     table = partition_table(AllParts(), 10)
     with pytest.raises(ValueError):
         window_max_location(table, 1, 11)
     with pytest.raises(ValueError):
         window_max_location(table, 0, 5)
+    with pytest.raises(ValueError):
+        check_window_max(table, 1, 11)
 
 
 # -- cofinite tails ---------------------------------------------------------
 
 def test_cofinite_monotonicity_holds():
-    assert check_cofinite_monotonicity(1, 50).ok
-    assert check_cofinite_monotonicity(3, 60).ok
+    assert check_cofinite_monotonicity(
+        partition_table(CofiniteTail(1), 50)).ok
+    assert check_cofinite_monotonicity(
+        partition_table(CofiniteTail(3), 60)).ok
 
 
 def test_cofinite_monotonicity_guard():
     with pytest.raises(ValueError, match="too small"):
-        check_cofinite_monotonicity(2, 8)
+        check_cofinite_monotonicity(partition_table(CofiniteTail(2), 8))
 
 
 # -- table container --------------------------------------------------------
