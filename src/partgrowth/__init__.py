@@ -10,7 +10,7 @@ evaluation near 1 (genfun), and a CLI exposing all of it (cli).
 from .asymptotics import (C0, GrowthSeries, LeadingRatio,
                           arithmetic_progression_probe, density_growth_probe,
                           finite_set_leading_ratio, growth_ratio,
-                          growth_ratio_series, hardy_ramanujan_constant)
+                          growth_ratio_series)
 from .counting import (BRUTEFORCE_LIMIT, CheckReport, PartitionTable,
                        check_cofinite_monotonicity, check_shift_monotonicity,
                        check_window_max, count_partitions_bruteforce,
@@ -41,7 +41,7 @@ __all__ = [
     "check_window_max", "count_partitions_bruteforce", "counting_function",
     "density_growth_probe", "density_profile", "enumerate_parts", "frac_str",
     "finite_set_leading_ratio", "gcd_of_set", "growth_ratio",
-    "growth_ratio_series", "hardy_ramanujan_constant", "load_part_file",
+    "growth_ratio_series", "load_part_file",
     "log_gf", "log_gf_coefficients", "mobius_invert_sums", "mobius_sieve",
     "normalize_by_gcd", "partition_table", "pentagonal_table", "prime_count",
     "primes_upto", "scaled_count", "sums_via_counting", "table_from_parts",

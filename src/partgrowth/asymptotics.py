@@ -33,10 +33,6 @@ from .reports import ProbeReport, judge_tail
 C0 = math.pi * math.sqrt(2.0 / 3.0)
 
 
-def hardy_ramanujan_constant() -> float:
-    return C0
-
-
 # ---------------------------------------------------------------------------
 # Ratio series
 # ---------------------------------------------------------------------------

@@ -17,8 +17,15 @@ series carries a cleared-denominator form over D = lcm(1..limit) so the
 inversion runs on plain integers with quotient blocking; results are
 reduced back to Fractions at the end.
 
+The divisor sum blocks the same way: one counting_function call per
+distinct value of n // k, O(sqrt(n)) in all, and each block's run of D/k
+summed by binary splitting with one long division per chunk, whose
+remainder must be zero.  At n = 100000 that is about 1 s where one
+multiply-add of D per k took about 6 s.
+
 log_gf evaluates log F(x) in floating point for 0 < x < 1 with a proven
-truncation bound, and the two probes compare (1-x) log F(x) and S(n)/n
+truncation bound, streaming the parts of an infinite set instead of
+listing them, and the two probes compare (1-x) log F(x) and S(n)/n
 against their common limit pi^2 * density / 6.
 """
 
@@ -30,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .partsets import (FileParts, FiniteParts, PartSetSpec, counting_function,
-                       enumerate_parts, primes_upto)
+                       enumerate_parts, iter_parts, primes_upto)
 from .reports import ProbeReport, default_band, judge_tail
 
 PI2_OVER_6 = math.pi * math.pi / 6.0
@@ -156,12 +163,62 @@ def log_gf_coefficients(spec, limit) -> CoefficientSeries:
     return CoefficientSeries(spec=spec, limit=limit, coeffs=tuple(coeffs))
 
 
+#: Terms per leaf of the binary-splitting tree.
+_LEAF = 32
+#: Terms per long division of a run; keeps the denominator near the size of D.
+_CHUNK = 1024
+
+
+def _harmonic_fraction(a, b):
+    """(P, Q) with P/Q = 1/a + ... + 1/b and Q = a * (a+1) * ... * b.
+
+    Binary splitting: two halves combine as (P1*Q2 + P2*Q1) / (Q1*Q2), so
+    the multiplications stay balanced.  A leaf takes Q as one product and
+    P as the exact quotients Q // k.
+    """
+    if b - a < _LEAF:
+        ks = range(a, b + 1)
+        q = math.prod(ks)
+        return sum(map(q.__floordiv__, ks)), q
+    m = (a + b) // 2
+    p1, q1 = _harmonic_fraction(a, m)
+    p2, q2 = _harmonic_fraction(m + 1, b)
+    return p1 * q2 + p2 * q1, q1 * q2
+
+
+def _harmonic_run(D, a, b) -> int:
+    """D/a + D/(a+1) + ... + D/b, exactly, for a run of consecutive k.
+
+    The run is cut into chunks of _CHUNK terms, and each chunk costs one
+    divmod(D * P, Q) with P/Q from _harmonic_fraction, in place of one
+    division of D per term.  Raises ArithmeticError if a chunk leaves a
+    remainder; when D is a multiple of every k, none can.
+    """
+    total = 0
+    for lo in range(a, b + 1, _CHUNK):
+        hi = min(b, lo + _CHUNK - 1)
+        p, q = _harmonic_fraction(lo, hi)
+        run, rem = divmod(D * p, q)
+        if rem:
+            raise ArithmeticError(
+                f"sum of D/k over [{lo}, {hi}] is not an integer")
+        total += run
+    return total
+
+
 def sums_via_counting(spec, n) -> Fraction:
     """S(n) evaluated through the divisor-sum identity, exactly.
 
-    Clears denominators with D = lcm(1..n):
-    S(n) = (1/D) * sum_k (D // k) * A(n // k), which needs only integer
-    work per term and one reduction at the end.
+    n // k takes O(sqrt(n)) distinct values v, each on a block [k1, k2]
+    of consecutive k, so with D = lcm(1..n)
+
+        S(n) = (1/D) * sum over blocks of A(v) * (D/k1 + ... + D/k2).
+
+    Each block costs one counting_function call, and its run of D/k is
+    summed exactly by _harmonic_run, which checks its own remainder;
+    blocks with A(v) = 0 are skipped.  The big-int work is about
+    bits(D) * sum(log k) digit products in a few long divisions, where
+    term-by-term evaluation made n divisions of D and n multiply-adds.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -169,10 +226,14 @@ def sums_via_counting(spec, n) -> Fraction:
         return Fraction(0)
     D = _lcm_upto(n)
     total = 0
-    for k in range(1, n + 1):
-        count = counting_function(spec, n // k)
+    k = 1
+    while k <= n:
+        v = n // k
+        k2 = n // v
+        count = counting_function(spec, v)
         if count:
-            total += (D // k) * count
+            total += count * _harmonic_run(D, k, k2)
+        k = k2 + 1
     return Fraction(total, D)
 
 
@@ -200,9 +261,12 @@ def mobius_invert_sums(series, n) -> Fraction:
 # Float evaluation of log F on (0, 1)
 # ---------------------------------------------------------------------------
 
+_LOG2 = math.log(2.0)
+
+
 def _neg_log_one_minus_exp(w) -> float:
     """-log(1 - e^(-w)) for w > 0, accurate in both regimes."""
-    if w > math.log(2.0):
+    if w > _LOG2:
         return -math.log1p(-math.exp(-w))
     return -math.log(-math.expm1(-w))
 
@@ -229,7 +293,8 @@ def log_gf(spec, x, *, tail_tol=1e-9) -> float:
 
     Finite sets are summed in full (tail_tol may be 0).  Infinite sets
     are truncated at _tail_cutoff(x, tail_tol), so the result is within
-    tail_tol of the true value before rounding; terms are evaluated with
+    tail_tol of the true value before rounding, and their parts are
+    streamed from iter_parts, never listed; terms are evaluated with
     expm1/log1p branches and accumulated with math.fsum, keeping the
     rounding error near one ulp.
     """
@@ -245,7 +310,8 @@ def log_gf(spec, x, *, tail_tol=1e-9) -> float:
         if tail_tol <= 0:
             raise ValueError(
                 f"tail_tol must be > 0 for an infinite set, got {tail_tol}")
-        parts = enumerate_parts(spec, _tail_cutoff(x, tail_tol))
+        cutoff = _tail_cutoff(x, tail_tol)
+        parts = iter_parts(spec, cutoff) if cutoff else ()
     return math.fsum(_neg_log_one_minus_exp(a * t) for a in parts)
 
 

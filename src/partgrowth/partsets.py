@@ -8,6 +8,7 @@ tables, coefficient series, probes) consumes these descriptions through
 three primitives:
 
   * enumerate_parts(spec, bound)  -- the members in [1, bound], ascending
+    (iter_parts gives the same members lazily, in no overall order)
   * counting_function(spec, x)    -- how many members lie in [1, x]
   * gcd_of_set / normalize_by_gcd -- common-divisor bookkeeping, since a
     set with gcd d > 1 only partitions multiples of d and is handled by
@@ -217,23 +218,34 @@ def prime_count(x) -> int:
 # Core operations
 # ---------------------------------------------------------------------------
 
-def enumerate_parts(spec, bound) -> list[int]:
-    """Members of the set in [1, bound], strictly increasing."""
+def iter_parts(spec, bound):
+    """Members of the set in [1, bound], without listing them where possible.
+
+    All parts, cofinite tails and each residue class come as lazy ranges;
+    a residue set yields its classes one after another, so the members
+    are ascending within a class but not overall.  Finite and file sets
+    give a slice of their parts, primes the sieve's list.
+    """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     if isinstance(spec, AllParts):
-        return list(range(1, bound + 1))
+        return range(1, bound + 1)
     if isinstance(spec, (FiniteParts, FileParts)):
-        return [a for a in spec.parts if a <= bound]
+        return spec.parts[:bisect_right(spec.parts, bound)]
     if isinstance(spec, ResidueParts):
         m = spec.modulus
-        return sorted(chain.from_iterable(
-            range(r, bound + 1, m) for r in spec.residues))
+        return chain.from_iterable(
+            range(r, bound + 1, m) for r in spec.residues)
     if isinstance(spec, CofiniteTail):
-        return list(range(spec.start, bound + 1))
+        return range(spec.start, bound + 1)
     if isinstance(spec, PrimeParts):
         return primes_upto(bound)
     raise TypeError(f"not a part-set spec: {spec!r}")
+
+
+def enumerate_parts(spec, bound) -> list[int]:
+    """Members of the set in [1, bound], strictly increasing."""
+    return sorted(iter_parts(spec, bound))
 
 
 def counting_function(spec, x) -> int:

@@ -12,8 +12,7 @@ from fractions import Fraction
 
 from partgrowth.asymptotics import (density_growth_probe,
                                     finite_set_leading_ratio, growth_ratio,
-                                    growth_ratio_series,
-                                    hardy_ramanujan_constant)
+                                    growth_ratio_series)
 from partgrowth.counting import (check_cofinite_monotonicity,
                                  check_shift_monotonicity,
                                  count_partitions_bruteforce, partition_table,

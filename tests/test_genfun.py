@@ -1,18 +1,22 @@
 """Log-series coefficients, Mobius inversion, and the analytic probes."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from partgrowth.genfun import (CoefficientSeries, abelian_density_target,
                                abelian_probe, log_gf, log_gf_coefficients,
                                mobius_invert_sums, mobius_sieve,
                                sums_via_counting, tauberian_probe,
-                               _tail_cutoff)
-from partgrowth.partsets import (AllParts, FiniteParts, PrimeParts,
-                                 ResidueParts, counting_function,
+                               _harmonic_run, _lcm_upto,
+                               _neg_log_one_minus_exp, _tail_cutoff)
+from partgrowth.partsets import (AllParts, CofiniteTail, FiniteParts,
+                                 PrimeParts, ResidueParts, counting_function,
                                  enumerate_parts)
 
 ROUND_TRIP_FAMILY = [
@@ -104,6 +108,62 @@ def test_sums_identity_matches_prefix_sums():
             assert series.sums[n] == sums_via_counting(spec, n), (spec, n)
 
 
+def _residue_spec(modulus):
+    residues = st.lists(st.integers(1, modulus), min_size=1, max_size=modulus,
+                        unique=True)
+    return residues.map(lambda rs: ResidueParts(modulus, tuple(sorted(rs))))
+
+
+PART_SETS = st.one_of(
+    st.just(AllParts()),
+    st.just(PrimeParts()),
+    st.integers(1, 80).map(CofiniteTail),
+    st.lists(st.integers(1, 3500), min_size=1, max_size=8, unique=True).map(
+        lambda ps: FiniteParts(tuple(sorted(ps)))),
+    st.integers(1, 12).flatmap(_residue_spec),
+)
+
+
+def _divisor_sum_by_terms(spec, n):
+    """S(n) as the plain sum of A(n // k) / k over every k."""
+    return sum((Fraction(counting_function(spec, n // k), k)
+                for k in range(1, n + 1)), Fraction(0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=PART_SETS, n=st.integers(0, 3000))
+@example(spec=AllParts(), n=3000)
+@example(spec=PrimeParts(), n=2049)
+@example(spec=ResidueParts(2, (1,)), n=2500)
+def test_blocked_divisor_sum_matches_term_by_term(spec, n):
+    # n > 2 * 1024 puts the k > n / 2 block through more than one chunk
+    assert sums_via_counting(spec, n) == _divisor_sum_by_terms(spec, n)
+
+
+@settings(max_examples=15, deadline=None)
+@given(spec=PART_SETS, n=st.integers(1, 3000))
+@example(spec=CofiniteTail(3), n=3000)
+def test_blocked_divisor_sum_matches_coefficient_route(spec, n):
+    assert sums_via_counting(spec, n) == log_gf_coefficients(spec, n).sums[n]
+
+
+def test_harmonic_run_sums_every_block_exactly():
+    D = _lcm_upto(3000)
+    for a, b in ((1, 1), (2, 8), (7, 300), (1001, 3000), (1, 3000)):
+        assert _harmonic_run(D, a, b) == sum(D // k for k in range(a, b + 1))
+
+
+def test_harmonic_run_rejects_a_remainder():
+    with pytest.raises(ArithmeticError):
+        _harmonic_run(_lcm_upto(4), 3, 5)      # 12/5 is not an integer
+    with pytest.raises(ArithmeticError):
+        # the primes in (250, 500] do not divide lcm(1..250)
+        _harmonic_run(_lcm_upto(250), 251, 500)
+    with pytest.raises(ArithmeticError):
+        # a run of several chunks with the prime 2999 left out of D
+        _harmonic_run(_lcm_upto(3000) // 2999, 1, 3000)
+
+
 # -- Mobius inversion -------------------------------------------------------
 
 def test_inversion_examples():
@@ -186,6 +246,38 @@ def test_log_gf_truncation_is_one_sided_and_bounded():
     fine = log_gf(AllParts(), x, tail_tol=1e-12)
     assert rough <= fine + 1e-9        # truncation only ever underestimates
     assert fine - rough <= 1e-4 + 1e-9
+
+
+INFINITE_SETS = [AllParts(), ResidueParts(2, (1,)), ResidueParts(4, (1, 3)),
+                 ResidueParts(5, (2, 5)), CofiniteTail(2), PrimeParts()]
+
+
+@pytest.mark.parametrize("spec", INFINITE_SETS, ids=str)
+@pytest.mark.parametrize("x", [0.5, 1 - 2.0 ** -10, 1 - 2.0 ** -14])
+def test_streamed_log_gf_equals_fsum_over_listed_parts(spec, x):
+    # fsum is correctly rounded, so the order of the streamed parts
+    # (class by class for residue sets) cannot change a single bit
+    t = -math.log1p(x - 1.0)
+    parts = enumerate_parts(spec, _tail_cutoff(x, 1e-9))
+    listed = math.fsum(_neg_log_one_minus_exp(a * t) for a in parts)
+    assert log_gf(spec, x, tail_tol=1e-9) == listed
+
+
+def test_log_gf_does_not_list_the_parts():
+    x = 1 - 2.0 ** -12                 # about 153000 parts below the cutoff
+    tracemalloc.start()
+    try:
+        log_gf(AllParts(), x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_log_gf_with_no_part_below_the_cutoff():
+    # x / (1-x)^2 <= tail_tol already bounds the whole sum
+    assert _tail_cutoff(1e-12, 1e-9) == 0
+    assert log_gf(AllParts(), 1e-12) == 0.0
 
 
 def test_tail_cutoff_bound_holds():
