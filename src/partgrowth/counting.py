@@ -1,15 +1,30 @@
 """Exact partition counting and structural checks on the count sequence.
 
-partition_table is the one table builder: it picks the route for p_A(0..limit)
-from the part set.  All parts go through pentagonal_table, the alternating
-recurrence driven by the generalized pentagonal numbers (O(limit^1.5));
-every other set goes through table_from_parts, the classic bounded-coin
-dynamic program.  Parts larger than the table limit can never occur in a
-partition of n <= limit, so truncating the part set at the limit is
-lossless and the table is exact (Python integers keep it exact at any
-size).  table_from_parts on the parts 1..limit is the coin-DP reference
-that the recurrence is checked against, and count_partitions_bruteforce
-a third route by direct enumeration for tiny n.
+partition_table is the one table builder: it picks the route for
+p_A(0..limit) from the part set, between two routes.
+
+  * The Euler quotient (_euler_quotient).  By Euler's pentagonal theorem,
+    E(x) = prod_{k>=1} (1 - x^k) = sum_{k in Z} (-1)^k x^(k(3k-1)/2),
+    so F_A(x) = N_A(x) / E(x) with the numerator
+    N_A(x) = prod_{a not in A, a <= limit} (1 - x^a).  Dividing by E(x) is
+    the pentagonal recurrence with N_A as its right-hand side,
+    O(limit^1.5) big-int additions.  Every excluded part costs one O(limit)
+    pass to build N_A; a residue set that leaves out every multiple of
+    some d | m starts from the sparse E(x^d) instead and pays a pass only
+    for the other excluded parts.
+  * The coin DP (table_from_parts), O(limit * |A cap [1, limit]|).
+
+The route with the smaller estimated cost wins, the coin DP on a tie
+(see partition_table): all parts, the odd parts and other dense residue
+sets, and cofinite tails with a short gap take the quotient; the primes,
+sparse finite and file sets, and long-gap tails such as cofinite:1500 at
+limit 2000 take the coin DP.  Parts larger than the table
+limit can never occur in a partition of n <= limit, so truncating the
+part set at the limit is lossless and the table is exact (Python integers
+keep it exact at any size).  pentagonal_table is the quotient with
+numerator 1; table_from_parts on the parts 1..limit is the coin-DP
+reference it is checked against, and count_partitions_bruteforce a third
+route by direct enumeration for tiny n.
 
 The check_* functions verify inequalities the count sequence must satisfy
 (translation monotonicity, eventual strict growth for cofinite sets).
@@ -20,10 +35,13 @@ check_window_max verifies that for every prefix [0, y], y <= x, in one pass.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
-from .partsets import AllParts, CofiniteTail, PartSetSpec, enumerate_parts
+from .partsets import (AllParts, CofiniteTail, PartSetSpec, ResidueParts,
+                       enumerate_parts, iter_parts)
 
 # Direct enumeration is exponential; keep it to oracle-sized inputs.
 BRUTEFORCE_LIMIT = 40
@@ -82,13 +100,98 @@ def table_from_parts(parts, limit, spec=None) -> PartitionTable:
 def partition_table(spec, limit) -> PartitionTable:
     """Exact p_A(n) for 0 <= n <= limit.
 
-    All parts take the pentagonal recurrence, O(limit^1.5); every other
-    set takes the coin DP, O(limit * |A cap [1, limit]|).
+    Takes the Euler quotient N_A(x) / E(x) when its estimated cost,
+    limit * (pentagonal offsets <= limit + passes to build N_A), is below
+    the coin DP's, sum over parts a <= limit of (limit - a + 1); otherwise
+    the coin DP.  See _route for the numerator.
     """
-    if isinstance(spec, AllParts):
-        return pentagonal_table(limit)
-    parts = enumerate_parts(spec, limit) if limit >= 1 else []
-    return table_from_parts(parts, limit, spec=spec)
+    numerator = _route(spec, limit)
+    if numerator is None:
+        parts = enumerate_parts(spec, limit) if limit >= 1 else []
+        return table_from_parts(parts, limit, spec=spec)
+    return PartitionTable(spec=spec, limit=limit,
+                          values=tuple(_euler_quotient(numerator, limit)))
+
+
+def _euler_step(spec) -> int:
+    """Least d >= 2 with d | m and no residue among d, 2d, ..., m, for a
+    residue set; 0 when there is none.  Such a set leaves out every
+    multiple of d, so E(x^d) is a factor of its numerator.
+    """
+    if not isinstance(spec, ResidueParts):
+        return 0
+    m = spec.modulus
+    small = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
+    divisors = small + [m // d for d in reversed(small) if d * d != m]
+    # the residues lie in [1, m], so d, 2d, ..., m are its multiples there
+    return next((d for d in divisors[1:]
+                 if all(r % d for r in spec.residues)), 0)
+
+
+def _route(spec, limit) -> Optional[list[int]]:
+    """The numerator N_A(0..limit) for the Euler quotient, or None when
+    the coin DP is estimated to cost no more.
+
+    N_A starts as E(x^d) for the step d of _euler_step (1 when there is
+    none) and takes one pass of (1 - x^a) for every other excluded a.
+    """
+    if limit < 1:
+        return None
+    member = bytearray(limit + 1)
+    coin_cost = 0
+    for a in iter_parts(spec, limit):
+        member[a] = 1
+        coin_cost += limit - a + 1
+    d = _euler_step(spec)
+    excluded = [a for a in range(1, limit + 1)
+                if not member[a] and (d == 0 or a % d)]
+    plus, minus = _pentagonal_offsets(limit)
+    if limit * (len(plus) + len(minus) + len(excluded)) >= coin_cost:
+        return None
+    numerator = [0] * (limit + 1)
+    numerator[0] = 1
+    if d:
+        # E(x^d): -1 where the recurrence adds, +1 where it subtracts
+        for offsets, sign in ((plus, -1), (minus, 1)):
+            for g in offsets[:bisect_right(offsets, limit // d)]:
+                numerator[d * g] = sign
+    for a in excluded:
+        numerator[a:] = [u - v for u, v in zip(numerator[a:], numerator)]
+    return numerator
+
+
+def _pentagonal_offsets(limit) -> tuple[list[int], list[int]]:
+    """Generalized pentagonal numbers k(3k-1)/2, k(3k+1)/2 <= limit, split
+    by the sign (-1)^(k+1) they carry in the recurrence; both ascending.
+    """
+    plus, minus = [], []
+    k = 1
+    while k * (3 * k - 1) // 2 <= limit:
+        offsets = plus if k % 2 else minus
+        offsets.extend(g for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
+                       if g <= limit)
+        k += 1
+    return plus, minus
+
+
+def _euler_quotient(numerator, limit) -> list[int]:
+    """F = numerator / E(x) to order limit, overwriting numerator with F.
+
+    F[n] = N[n] + sum_{k>=1} (-1)^(k+1) (F[n - k(3k-1)/2] + F[n - k(3k+1)/2]),
+    over the offsets <= n.  Between two consecutive offsets the set of
+    live offsets is fixed, so each stretch of n sums one fixed prefix of
+    each sign list.
+    """
+    values = numerator
+    plus, minus = _pentagonal_offsets(limit)
+    bounds = sorted(plus + minus) + [limit + 1]
+    for lo, hi in zip(bounds, bounds[1:]):
+        live_plus = plus[:bisect_right(plus, lo)]
+        live_minus = minus[:bisect_right(minus, lo)]
+        for n in range(lo, hi):
+            values[n] += (sum([values[n - g] for g in live_plus])
+                          - sum([values[n - g] for g in live_minus]))
+    return values
 
 
 def count_partitions_bruteforce(parts, n) -> int:
@@ -118,30 +221,16 @@ def count_partitions_bruteforce(parts, n) -> int:
 
 
 def pentagonal_table(limit) -> PartitionTable:
-    """Unrestricted partition counts via the alternating recurrence.
+    """Unrestricted partition counts: the Euler quotient 1 / E(x).
 
     p(n) = sum_{k>=1} (-1)^(k+1) [ p(n - k(3k-1)/2) + p(n - k(3k+1)/2) ],
-    the sum running while the offsets stay nonnegative.  Completely
-    independent of the coin DP, so the two tables cross-check each other.
+    the sum running while the offsets stay nonnegative, O(limit^1.5).
+    Completely independent of the coin DP, so the two tables cross-check
+    each other.
     """
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-    values = [0] * (limit + 1)
-    values[0] = 1
-    for n in range(1, limit + 1):
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            if g1 > n:
-                break
-            sign = -1 if k % 2 == 0 else 1
-            total += sign * values[n - g1]
-            g2 = k * (3 * k + 1) // 2
-            if g2 <= n:
-                total += sign * values[n - g2]
-            k += 1
-        values[n] = total
+    values = _euler_quotient([1] + [0] * limit, limit)
     return PartitionTable(spec=AllParts(), limit=limit, values=tuple(values))
 
 

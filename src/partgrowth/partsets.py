@@ -28,7 +28,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from typing import NamedTuple, Union
 
 
@@ -183,6 +183,9 @@ _prime_limit = 0
 
 
 def _ensure_sieved(bound):
+    """Sieve to at least bound; a growing bound doubles the limit, so a
+    rising run of queries re-sieves O(log) times.
+    """
     global _prime_cache, _prime_limit
     if bound <= _prime_limit:
         return
@@ -194,7 +197,7 @@ def _ensure_sieved(bound):
             step = len(range(p * p, limit + 1, p))
             flags[p * p::p] = bytes(step)
     # swap in one assignment so concurrent readers always see a full table
-    _prime_cache = [i for i in range(2, limit + 1) if flags[i]]
+    _prime_cache = list(compress(range(limit + 1), flags))
     _prime_limit = limit
 
 
@@ -374,7 +377,10 @@ def density_profile(spec, grid) -> DensityProfile:
     """Sample A(x)/x exactly on a strictly increasing grid of integers."""
     grid = tuple(int(x) for x in grid)
     _validate_increasing(grid, "density grid")
-    ratios = tuple(Fraction(counting_function(spec, x), x) for x in grid)
+    # largest point first: the prime sieve then runs once, to the grid's
+    # end, instead of doubling past it
+    ratios = tuple(reversed([Fraction(counting_function(spec, x), x)
+                             for x in reversed(grid)]))
     tail_min = []
     tail_max = []
     lo = hi = None

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from partgrowth.counting import (BRUTEFORCE_LIMIT, PartitionTable,
+                                 _euler_quotient, _euler_step, _route,
                                  check_cofinite_monotonicity,
                                  check_shift_monotonicity, check_window_max,
                                  count_partitions_bruteforce, partition_table,
@@ -120,6 +121,110 @@ def test_pentagonal_matches_dp():
     dp = table_from_parts(range(1, 301), 300)
     assert pentagonal_table(300).values == dp.values
     assert partition_table(AllParts(), 300).values == dp.values
+
+
+# -- Euler quotient against the coin DP and brute force --------------------
+
+def _residue_sets():
+    """Random residue sets, plus the non-multiples of d mod m (m = d * j),
+    whose numerator starts from E(x^d)."""
+    def non_multiples(d, j, drop):
+        m = d * j
+        kept = [r for r in range(1, m + 1) if r % d and r not in drop]
+        return ResidueParts(m, tuple(kept or [1]))
+
+    random_sets = st.integers(1, 12).flatmap(
+        lambda m: st.sets(st.integers(1, m), min_size=1)
+        .map(lambda rs: ResidueParts(m, tuple(sorted(rs)))))
+    return st.one_of(random_sets, st.builds(
+        non_multiples, st.integers(2, 5), st.integers(1, 4),
+        st.sets(st.integers(1, 20), max_size=2)))
+
+
+SWEEP_SPECS = st.one_of(
+    st.just(AllParts()),
+    _residue_sets(),
+    st.integers(1, 60).map(CofiniteTail),
+    st.sets(st.integers(1, 50), min_size=1, max_size=8)
+    .map(lambda ps: FiniteParts(tuple(sorted(ps)))),
+)
+
+
+def _numerator_by_definition(spec, limit):
+    """prod (1 - x^a) over the a <= limit outside the set, one factor at a time."""
+    members = set(enumerate_parts(spec, limit)) if limit else set()
+    numerator = [1] + [0] * limit
+    for a in range(1, limit + 1):
+        if a not in members:
+            numerator = [u - (numerator[n - a] if n >= a else 0)
+                         for n, u in enumerate(numerator)]
+    return numerator
+
+
+@given(spec=SWEEP_SPECS, limit=st.integers(0, 400), data=st.data())
+def test_partition_table_routes_agree(spec, limit, data):
+    parts = enumerate_parts(spec, limit) if limit else []
+    table = partition_table(spec, limit)
+    dp = table_from_parts(parts, limit, spec=spec)
+    assert table.values == dp.values
+    # the quotient on every set, whichever route partition_table chose
+    quotient = _euler_quotient(_numerator_by_definition(spec, limit), limit)
+    assert tuple(quotient) == dp.values
+    n = data.draw(st.integers(0, min(limit, BRUTEFORCE_LIMIT)))
+    assert table[n] == count_partitions_bruteforce(parts, n)
+
+
+@pytest.mark.parametrize("spec, quotient", [
+    (AllParts(), True),
+    (ResidueParts(2, (1,)), True),
+    (ResidueParts(4, (1, 3)), True),
+    (ResidueParts(6, (1, 2, 4, 5)), True),
+    (CofiniteTail(3), True),
+    (PrimeParts(), False),
+    (FiniteParts((1, 2, 3)), False),
+    (CofiniteTail(1500), False),
+])
+def test_route_choices_at_2000(spec, quotient):
+    assert (_route(spec, 2000) is not None) == quotient
+
+
+@pytest.mark.parametrize("spec, step", [
+    (ResidueParts(2, (1,)), 2),
+    (ResidueParts(4, (1, 3)), 2),
+    (ResidueParts(6, (1, 2, 4, 5)), 3),
+    (ResidueParts(4, (2,)), 4),
+    (ResidueParts(6, (5, 6)), 0),
+    (ResidueParts(1, (1,)), 0),
+    (AllParts(), 0),
+    (CofiniteTail(3), 0),
+])
+def test_euler_step(spec, step):
+    assert _euler_step(spec) == step
+
+
+def test_odd_parts_quotient_matches_dp_at_3000():
+    spec = ResidueParts(2, (1,))
+    assert _route(spec, 3000) is not None
+    dp = table_from_parts(enumerate_parts(spec, 3000), 3000)
+    assert partition_table(spec, 3000).values == dp.values
+
+
+def test_large_n_against_rademacher():
+    """Exact p(n) from the Hardy-Ramanujan-Rademacher series, far beyond
+    the reach of the coin DP and brute force."""
+    pytest.importorskip("sympy")
+    from sympy.functions.combinatorial.numbers import partition
+
+    def p(n):
+        return int(partition(n))
+
+    table = pentagonal_table(50_000)
+    for n in (10_000, 20_000, 50_000):
+        assert table[n] == p(n), n
+    # numerator (1 - x)(1 - x^2) = 1 - x - x^2 + x^3
+    tail = partition_table(CofiniteTail(3), 20_000)
+    for n in (3, 777, 5_000, 19_999, 20_000):
+        assert tail[n] == p(n) - p(n - 1) - p(n - 2) + p(n - 3), n
 
 
 # -- gcd-scaled counts ------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from partgrowth import partsets
 from partgrowth.partsets import (AllParts, CofiniteTail, FileParts,
                                  FiniteParts, PartFileError, PrimeParts,
                                  ResidueParts, UnsupportedNormalizationError,
@@ -306,3 +307,33 @@ def test_prime_count_values():
 def test_prime_cache_grows_then_serves_small_queries():
     big = primes_upto(2000)
     assert primes_upto(30) == [p for p in big if p <= 30]
+
+
+def _sieve_counts(grid):
+    """pi(x) at each grid point from a plain sieve written here."""
+    end = grid[-1]
+    flags = [True] * (end + 1)
+    flags[0] = flags[1] = False
+    for p in range(2, math.isqrt(end) + 1):
+        if flags[p]:
+            for q in range(p * p, end + 1, p):
+                flags[q] = False
+    counts, running = {}, 0
+    for n in range(end + 1):
+        running += flags[n]
+        counts[n] = running
+    return [counts[x] for x in grid]
+
+
+@pytest.mark.parametrize("grid", [
+    [10, 100, 300],
+    [1000, 2000, 4000, 8000, 16000, 32000, 64000, 100_000],
+])
+def test_density_profile_sieves_once_to_the_grid_end(monkeypatch, grid):
+    monkeypatch.setattr(partsets, "_prime_cache", [])
+    monkeypatch.setattr(partsets, "_prime_limit", 0)
+    profile = density_profile(PrimeParts(), grid)
+    # a rising grid would double the sieve limit past its end (131072 here)
+    assert partsets._prime_limit == max(grid[-1], 1024)
+    assert profile.ratios == tuple(
+        Fraction(c, x) for c, x in zip(_sieve_counts(grid), grid))
