@@ -45,19 +45,6 @@ class GrowthSeries:
     grid: tuple[int, ...]
     ratios: tuple[Optional[float], ...]
 
-    def to_csv_rows(self):
-        rows = [["n", "ratio"]]
-        rows.extend([n, "" if r is None else r]
-                    for n, r in zip(self.grid, self.ratios))
-        return rows
-
-    def to_json_obj(self):
-        return {
-            "set": str(self.spec),
-            "grid": list(self.grid),
-            "ratios": list(self.ratios),
-        }
-
 
 def growth_ratio(count, n) -> Optional[float]:
     """log(count) / (C0 * sqrt(n)); None when count == 0.

@@ -5,6 +5,13 @@ or ``--out PATH``.  Exit status: 0 on success and on probe PASS, 1 on
 probe/check FAIL, 2 on usage or domain errors.  All configuration is by
 flags; no environment variables are read.
 
+The output format lives here and nowhere else.  The result types of the
+other modules are plain data and do not serialise themselves: each
+handler builds its JSON object once and passes it to _emit together
+with its CSV columns, a mapping from header to a sequence of cells.
+Every column is a list taken from that object (or an index range), so
+each value is formatted once and the two formats carry the same values.
+
 Part sets are written in a small spec language::
 
     all  |  finite:1,2,3  |  mod:4:1,3  |  cofinite:5  |  primes  |  file:PATH
@@ -21,8 +28,9 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .asymptotics import (arithmetic_progression_probe, density_growth_probe,
@@ -47,6 +55,17 @@ def _int_token(token, what):
         return int(token, 10)
     except ValueError:
         raise ValueError(f"{what}: not a decimal integer: {token!r}") from None
+
+
+def _float_token(token, what):
+    """A finite float; NaN and infinities are usage errors like any typo."""
+    try:
+        value = float(token)
+    except ValueError:
+        raise ValueError(f"{what}: not a number: {token!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{what}: not a finite number: {token!r}")
+    return value
 
 
 def parse_set_spec(text):
@@ -94,10 +113,7 @@ def parse_grid(text):
             raise ValueError(f"geometric grid needs geo:start:stop:factor, got {text!r}")
         start = _int_token(fields[0], "grid start")
         stop = _int_token(fields[1], "grid stop")
-        try:
-            factor = float(fields[2])
-        except ValueError:
-            raise ValueError(f"grid factor: not a number: {fields[2]!r}") from None
+        factor = _float_token(fields[2], "grid factor")
         if start < 1 or stop < start:
             raise ValueError(f"need 1 <= start <= stop, got {start}, {stop}")
         if factor <= 1.0:
@@ -126,17 +142,15 @@ def parse_x_grid(text):
             raise ValueError(f"pow2 grid is pow2:K1[:K2], got {text!r}")
         k1 = _int_token(fields[0], "pow2 exponent")
         k2 = _int_token(fields[-1], "pow2 exponent")
-        if not 1 <= k1 <= k2:
-            raise ValueError(f"need 1 <= K1 <= K2, got {k1}, {k2}")
+        if not 1 <= k1 <= k2 <= 53:
+            # past k = 53, 1 - 2^-k rounds to 1.0
+            raise ValueError(f"need 1 <= K1 <= K2 <= 53, got {k1}, {k2}")
         return tuple(1.0 - 2.0 ** -k for k in range(k1, k2 + 1))
     if text.startswith("list:"):
         text = text[5:]
     if not text:
         raise ValueError("empty x grid")
-    try:
-        values = tuple(float(t) for t in text.split(","))
-    except ValueError:
-        raise ValueError(f"x grid: not a number in {text!r}") from None
+    values = tuple(_float_token(t, "x grid point") for t in text.split(","))
     if any(not 0.0 < x < 1.0 for x in values):
         raise ValueError(f"x grid values must lie in (0, 1): {text!r}")
     if any(b <= a for a, b in zip(values, values[1:])):
@@ -148,10 +162,7 @@ def parse_band(text):
     fields = text.split(",")
     if len(fields) != 2:
         raise ValueError(f"band is lo,hi, got {text!r}")
-    try:
-        lo, hi = float(fields[0]), float(fields[1])
-    except ValueError:
-        raise ValueError(f"band: not a number in {text!r}") from None
+    lo, hi = (_float_token(t, "band") for t in fields)
     if hi < lo:
         raise ValueError(f"band must have lo <= hi, got {text!r}")
     return lo, hi
@@ -169,13 +180,6 @@ def _parse_int_opt(text, what, minimum):
     if value < minimum:
         raise ValueError(f"{what} must be >= {minimum}, got {value}")
     return value
-
-
-def _parse_float_opt(text, what):
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"{what}: not a number: {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -211,30 +215,18 @@ class CommandRequest:
         return out
 
 
-@dataclass(frozen=True)
-class _TabularReport:
-    """Ad-hoc report for subcommands without a dedicated result type."""
-
-    rows: tuple
-    obj: dict
-
-    def to_csv_rows(self):
-        return [list(r) for r in self.rows]
-
-    def to_json_obj(self):
-        return self.obj
-
-
-def _emit(report, opts):
+def _emit(opts, obj, columns):
+    """Write obj as JSON, or as CSV: the keys of columns as the header row,
+    then one row per position of its equal-length cell sequences."""
     fmt = opts["format"]
     if fmt == "json":
         # allow_nan=False: a NaN or infinity in a report is a bug, not JSON
-        text = json.dumps(report.to_json_obj(), indent=2,
-                          allow_nan=False) + "\n"
+        text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerows(report.to_csv_rows())
+        writer.writerow(columns)
+        writer.writerows(zip(*columns.values()))
         text = buf.getvalue()
     else:
         raise ValueError(f"unknown format {fmt!r}")
@@ -250,31 +242,53 @@ def _emit(report, opts):
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
+def _table_exit(opts, table):
+    # counts as decimal strings: they overflow doubles long before
+    # limit=5000 and JSON numbers cannot be trusted past 2**53
+    obj = {
+        "set": str(table.spec),
+        "limit": table.limit,
+        "counts": [str(v) for v in table.values],
+    }
+    _emit(opts, obj, {"n": range(table.limit + 1), "count": obj["counts"]})
+    return 0
+
+
 def _cmd_table(opts):
     spec = parse_set_spec(opts["set"])
     limit = _parse_int_opt(opts["limit"], "limit", 0)
-    _emit(partition_table(spec, limit), opts)
-    return 0
+    return _table_exit(opts, partition_table(spec, limit))
 
 
 def _cmd_pentagonal(opts):
     limit = _parse_int_opt(opts["limit"], "limit", 0)
-    _emit(pentagonal_table(limit), opts)
-    return 0
+    return _table_exit(opts, pentagonal_table(limit))
 
 
 def _cmd_density(opts):
     spec = parse_set_spec(opts["set"])
-    grid = parse_grid(opts["grid"])
-    _emit(density_profile(spec, grid), opts)
+    profile = density_profile(spec, parse_grid(opts["grid"]))
+    obj = {
+        "set": str(spec),
+        "grid": list(profile.grid),
+        "ratios": [frac_str(q) for q in profile.ratios],
+        "ratio_floats": [float(q) for q in profile.ratios],
+        "tail_min": [frac_str(q) for q in profile.tail_min],
+        "tail_max": [frac_str(q) for q in profile.tail_max],
+    }
+    _emit(opts, obj, {"x": obj["grid"], "ratio": obj["ratios"],
+                      "ratio_float": obj["ratio_floats"],
+                      "tail_min": obj["tail_min"], "tail_max": obj["tail_max"]})
     return 0
 
 
 def _cmd_ratio(opts):
     spec = parse_set_spec(opts["set"])
     grid = parse_grid(opts["grid"])
-    table = partition_table(spec, grid[-1])
-    _emit(growth_ratio_series(table, grid), opts)
+    series = growth_ratio_series(partition_table(spec, grid[-1]), grid)
+    # an undefined ratio is null in JSON and an empty CSV cell
+    obj = {"set": str(spec), "grid": list(grid), "ratios": list(series.ratios)}
+    _emit(opts, obj, {"n": obj["grid"], "ratio": obj["ratios"]})
     return 0
 
 
@@ -283,20 +297,31 @@ def _cmd_finite_asym(opts):
     grid = parse_grid(opts["grid"])
     table = partition_table(spec, grid[-1])
     ratios = [finite_set_leading_ratio(table, n) for n in grid]
-    rows = [("n", "ratio", "ratio_float")]
-    rows += [(n, frac_str(r.exact), r.value) for n, r in zip(grid, ratios)]
     obj = {
         "set": str(spec),
         "grid": list(grid),
         "ratios": [frac_str(r.exact) for r in ratios],
         "ratio_floats": [r.value for r in ratios],
     }
-    _emit(_TabularReport(tuple(rows), obj), opts)
+    _emit(opts, obj, {"n": obj["grid"], "ratio": obj["ratios"],
+                      "ratio_float": obj["ratio_floats"]})
     return 0
 
 
-def _probe_exit(report, opts):
-    _emit(report, opts)
+def _probe_exit(opts, report):
+    obj = {
+        "probe": report.name,
+        "xs": list(report.xs),
+        "values": list(report.values),
+        "band": [report.target_low, report.target_high],
+        "tail_min": report.tail_min,
+        "tail_max": report.tail_max,
+        "direction": report.direction,
+        "passed": report.passed,
+        "note": "finite-scale sample; band judgement is not a limit claim",
+        **report.meta,
+    }
+    _emit(opts, obj, {"x": obj["xs"], "value": obj["values"]})
     return 0 if report.passed else 1
 
 
@@ -309,8 +334,8 @@ def _cmd_direct_probe(opts):
         lower_density=_parse_fraction(opts["alpha"], "alpha"),
         upper_density=_parse_fraction(opts["beta"], "beta"),
         band=band,
-        rel_tol=_parse_float_opt(opts["rel-tol"], "rel-tol"))
-    return _probe_exit(report, opts)
+        rel_tol=_float_token(opts["rel-tol"], "rel-tol"))
+    return _probe_exit(opts, report)
 
 
 def _cmd_arithpro_probe(opts):
@@ -321,14 +346,22 @@ def _cmd_arithpro_probe(opts):
     band = parse_band(opts["band"]) if "band" in opts else None
     report = arithmetic_progression_probe(
         spec.modulus, spec.residues, grid, band=band,
-        rel_tol=_parse_float_opt(opts["rel-tol"], "rel-tol"))
-    return _probe_exit(report, opts)
+        rel_tol=_float_token(opts["rel-tol"], "rel-tol"))
+    return _probe_exit(opts, report)
 
 
 def _cmd_sb(opts):
     spec = parse_set_spec(opts["set"])
     limit = _parse_int_opt(opts["limit"], "limit", 1)
-    _emit(log_gf_coefficients(spec, limit), opts)
+    series = log_gf_coefficients(spec, limit)
+    obj = {
+        "set": str(spec),
+        "limit": limit,
+        "coeffs": [frac_str(c) for c in series.coeffs[1:]],
+        "prefix_sums": [frac_str(s) for s in series.sums[1:]],
+    }
+    _emit(opts, obj, {"l": range(1, limit + 1), "coeff": obj["coeffs"],
+                      "prefix_sum": obj["prefix_sums"]})
     return 0
 
 
@@ -348,34 +381,30 @@ def _cmd_invert(opts):
     else:
         note = (f"mismatch at n = {mismatch[0]}: recovered {mismatch[1]}, "
                 f"expected {mismatch[2]}")
-    rows = (("set", "limit", "ok", "note"),
-            (str(spec), limit, mismatch is None, note))
     obj = {
         "set": str(spec),
         "limit": limit,
         "ok": mismatch is None,
         "note": note,
     }
-    _emit(_TabularReport(rows, obj), opts)
+    _emit(opts, obj, {key: [value] for key, value in obj.items()})
     return 0 if mismatch is None else 1
 
 
 def _cmd_genfun(opts):
     spec = parse_set_spec(opts["set"])
     xs = parse_x_grid(opts["xs"])
-    tail_tol = _parse_float_opt(opts["tail-tol"], "tail-tol")
+    tail_tol = _float_token(opts["tail-tol"], "tail-tol")
     if "density" in opts:
         band = parse_band(opts["band"]) if "band" in opts else None
         report = abelian_probe(
             spec, _parse_fraction(opts["density"], "density"), xs,
-            rel_tol=_parse_float_opt(opts["rel-tol"], "rel-tol"),
+            rel_tol=_float_token(opts["rel-tol"], "rel-tol"),
             tail_tol=tail_tol, band=band)
-        return _probe_exit(report, opts)
+        return _probe_exit(opts, report)
     if "band" in opts:
         raise ValueError("--band only applies to probe mode (--density)")
     values = [log_gf(spec, x, tail_tol=tail_tol) for x in xs]
-    rows = [("x", "log_f", "scaled")]
-    rows += [(x, v, (1.0 - x) * v) for x, v in zip(xs, values)]
     obj = {
         "set": str(spec),
         "xs": list(xs),
@@ -383,7 +412,8 @@ def _cmd_genfun(opts):
         "scaled": [(1.0 - x) * v for x, v in zip(xs, values)],
         "tail_tol": tail_tol,
     }
-    _emit(_TabularReport(tuple(rows), obj), opts)
+    _emit(opts, obj, {"x": obj["xs"], "log_f": obj["log_f"],
+                      "scaled": obj["scaled"]})
     return 0
 
 
@@ -397,11 +427,11 @@ def _cmd_tauberian_probe(opts):
     if has_density:
         target = abelian_density_target(_parse_fraction(opts["density"], "density"))
     else:
-        target = _parse_float_opt(opts["target"], "target")
+        target = _float_token(opts["target"], "target")
     report = tauberian_probe(
         spec, target, grid,
-        rel_tol=_parse_float_opt(opts["rel-tol"], "rel-tol"))
-    return _probe_exit(report, opts)
+        rel_tol=_float_token(opts["rel-tol"], "rel-tol"))
+    return _probe_exit(opts, report)
 
 
 def _cmd_check_lemmas(opts):
@@ -421,17 +451,17 @@ def _cmd_check_lemmas(opts):
     if isinstance(spec, CofiniteTail) and limit >= 3 * spec.start + 3:
         checks.append((f"cofinite-strict(start={spec.start})",
                        check_cofinite_monotonicity(table)))
-    all_ok = all(rep.ok for _, rep in checks)
-    rows = [("check", "ok", "checked", "note")]
-    rows += [(name, rep.ok, rep.checked, rep.note) for name, rep in checks]
+    rows = [dict(name=name, **asdict(rep)) for name, rep in checks]
     obj = {
         "set": str(spec),
         "limit": limit,
-        "checks": [dict(name=name, **rep.to_json_obj()) for name, rep in checks],
-        "all_ok": all_ok,
+        "checks": rows,
+        "all_ok": all(row["ok"] for row in rows),
     }
-    _emit(_TabularReport(tuple(rows), obj), opts)
-    return 0 if all_ok else 1
+    _emit(opts, obj, {header: [row[key] for row in rows] for header, key in
+                      (("check", "name"), ("ok", "ok"), ("checked", "checked"),
+                       ("note", "note"))})
+    return 0 if obj["all_ok"] else 1
 
 
 _HANDLERS = {

@@ -63,20 +63,6 @@ class PartitionTable:
     def __len__(self):
         return self.limit + 1
 
-    def to_csv_rows(self):
-        rows = [["n", "count"]]
-        rows.extend([n, str(v)] for n, v in enumerate(self.values))
-        return rows
-
-    def to_json_obj(self):
-        # counts as decimal strings: they overflow doubles long before
-        # limit=5000 and JSON numbers cannot be trusted past 2**53
-        return {
-            "set": str(self.spec),
-            "limit": self.limit,
-            "counts": [str(v) for v in self.values],
-        }
-
 
 def table_from_parts(parts, limit, spec=None) -> PartitionTable:
     """DP table from an explicit part list (order of parts is irrelevant)."""
@@ -265,15 +251,6 @@ class CheckReport:
 
     def __bool__(self):
         return self.ok
-
-    def to_json_obj(self):
-        return {
-            "ok": self.ok,
-            "checked": self.checked,
-            "first_violation": list(self.first_violation)
-            if self.first_violation else None,
-            "note": self.note,
-        }
 
 
 def check_shift_monotonicity(table, shift) -> CheckReport:

@@ -45,6 +45,8 @@ PI2_OVER_6 = math.pi * math.pi / 6.0
 
 def abelian_density_target(density) -> float:
     """Limit of (1-x) log F(x) and of S(n)/n for a set of natural density d."""
+    if not 0 <= density <= 1:
+        raise ValueError(f"density must lie in [0, 1], got {density}")
     return PI2_OVER_6 * float(density)
 
 
@@ -134,22 +136,6 @@ class CoefficientSeries:
             weighted.append(acc)
         return D, scaled, tuple(weighted)
 
-    def to_csv_rows(self):
-        from .reports import frac_str
-        rows = [["l", "coeff", "prefix_sum"]]
-        for l in range(1, self.limit + 1):
-            rows.append([l, frac_str(self.coeffs[l]), frac_str(self.sums[l])])
-        return rows
-
-    def to_json_obj(self):
-        from .reports import frac_str
-        return {
-            "set": str(self.spec),
-            "limit": self.limit,
-            "coeffs": [frac_str(c) for c in self.coeffs[1:]],
-            "prefix_sums": [frac_str(s) for s in self.sums[1:]],
-        }
-
 
 def log_gf_coefficients(spec, limit) -> CoefficientSeries:
     """Exact b_1..b_limit: each member a contributes 1/k at position a*k."""
@@ -237,12 +223,13 @@ def sums_via_counting(spec, n) -> Fraction:
     return Fraction(total, D)
 
 
-def mobius_invert_sums(series, n) -> Fraction:
+def mobius_invert_sums(series, n) -> int:
     """Recover A(n) from the prefix sums of `series` by Mobius inversion.
 
     Exact: equals counting_function(series.spec, n) whenever n is within
     the series limit.  Runs on the cleared-denominator form, blocking
-    over the O(sqrt(n)) distinct values of n // k.
+    over the O(sqrt(n)) distinct values of n // k.  Raises ArithmeticError
+    when the sum is not an integer, which no true log-series allows.
     """
     if not 1 <= n <= series.limit:
         raise ValueError(f"n={n} outside series range [1, {series.limit}]")
@@ -254,7 +241,10 @@ def mobius_invert_sums(series, n) -> Fraction:
         k2 = n // v
         total += scaled[v] * (weighted[k2] - weighted[k - 1])
         k = k2 + 1
-    return Fraction(total, D * D)
+    count, rem = divmod(total, D * D)
+    if rem:
+        raise ArithmeticError(f"inversion at n={n} is not an integer")
+    return count
 
 
 # ---------------------------------------------------------------------------

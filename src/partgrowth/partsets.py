@@ -354,24 +354,6 @@ class DensityProfile:
     tail_min: tuple[Fraction, ...]
     tail_max: tuple[Fraction, ...]
 
-    def to_json_obj(self):
-        from .reports import frac_str
-        return {
-            "set": str(self.spec),
-            "grid": list(self.grid),
-            "ratios": [frac_str(q) for q in self.ratios],
-            "ratio_floats": [float(q) for q in self.ratios],
-            "tail_min": [frac_str(q) for q in self.tail_min],
-            "tail_max": [frac_str(q) for q in self.tail_max],
-        }
-
-    def to_csv_rows(self):
-        from .reports import frac_str
-        rows = [["x", "ratio", "ratio_float", "tail_min", "tail_max"]]
-        for x, q, lo, hi in zip(self.grid, self.ratios, self.tail_min, self.tail_max):
-            rows.append([x, frac_str(q), float(q), frac_str(lo), frac_str(hi)])
-        return rows
-
 
 def density_profile(spec, grid) -> DensityProfile:
     """Sample A(x)/x exactly on a strictly increasing grid of integers."""

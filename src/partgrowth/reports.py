@@ -53,27 +53,6 @@ class ProbeReport:
     def __bool__(self):
         return self.passed
 
-    def to_json_obj(self):
-        obj = {
-            "probe": self.name,
-            "xs": [_json_scalar(x) for x in self.xs],
-            "values": [_json_scalar(v) for v in self.values],
-            "band": [self.target_low, self.target_high],
-            "tail_min": self.tail_min,
-            "tail_max": self.tail_max,
-            "direction": self.direction,
-            "passed": self.passed,
-            "note": "finite-scale sample; band judgement is not a limit claim",
-        }
-        obj.update(self.meta)
-        return obj
-
-    def to_csv_rows(self):
-        rows = [["x", "value"]]
-        for x, v in zip(self.xs, self.values):
-            rows.append([_json_scalar(x), _json_scalar(v)])
-        return rows
-
 
 def default_band(target, rel_tol):
     """target widened by rel_tol either way; at target 0, rel_tol becomes
@@ -103,14 +82,3 @@ def judge_tail(name, xs, values, lo, hi, meta) -> ProbeReport:
         name=name, xs=xs, values=values, target_low=lo, target_high=hi,
         passed=passed, tail_min=min(defined, default=None),
         tail_max=max(defined, default=None), direction=direction, meta=meta)
-
-
-def _json_scalar(v):
-    """Values safe for JSON: big ints become decimal strings, rationals n/d."""
-    if isinstance(v, bool) or v is None:
-        return v
-    if isinstance(v, Fraction):
-        return frac_str(v)
-    if isinstance(v, int):
-        return v if abs(v) <= 2**53 else str(v)
-    return v

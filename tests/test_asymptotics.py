@@ -89,15 +89,6 @@ def test_restricted_ratio_below_unrestricted():
         assert growth_ratio(odd[n], n) < growth_ratio(full[n], n)
 
 
-def test_series_serialization():
-    table = pentagonal_table(10)
-    series = growth_ratio_series(table, [1, 10])
-    rows = series.to_csv_rows()
-    assert rows[0] == ["n", "ratio"]
-    assert rows[1] == [1, 0.0]
-    assert series.to_json_obj()["grid"] == [1, 10]
-
-
 # -- finite-set polynomial law ----------------------------------------------
 
 def test_leading_ratio_examples():
@@ -210,13 +201,3 @@ def test_arithpro_probe_target_and_pass():
     assert report.passed
     assert report.meta["probe_target"] == pytest.approx(math.sqrt(0.5))
     assert report.meta["modulus"] == 2
-
-
-def test_probe_report_serialization():
-    report = arithmetic_progression_probe(2, (1,), [200, 500], band=(0.0, 1.0))
-    obj = report.to_json_obj()
-    assert obj["passed"] is True
-    assert obj["band"] == [0.0, 1.0]
-    rows = report.to_csv_rows()
-    assert rows[0] == ["x", "value"]
-    assert [r[1] for r in rows[1:]] == list(obj["values"])

@@ -84,6 +84,9 @@ def test_parse_grid_errors():
         parse_grid("geo:10:50:1")
     with pytest.raises(ValueError):
         parse_grid("geo:10:50")
+    for factor in ("inf", "nan", "-inf"):
+        with pytest.raises(ValueError, match="grid factor: not a finite"):
+            parse_grid(f"geo:1:10:{factor}")
 
 
 def test_parse_x_grid_forms():
@@ -102,6 +105,13 @@ def test_parse_x_grid_errors():
         parse_x_grid("0.5,1.5")
     with pytest.raises(ValueError):
         parse_x_grid("")
+    with pytest.raises(ValueError, match="not a finite"):
+        parse_x_grid("0.5,nan")
+    # past k = 53, 1 - 2^-k rounds to 1.0: refused before any x is built
+    for text in ("pow2:54", "pow2:1:54"):
+        with pytest.raises(ValueError, match="K2 <= 53"):
+            parse_x_grid(text)
+    assert parse_x_grid("pow2:53") == (1.0 - 2.0 ** -53,)
 
 
 def test_parse_band():
@@ -110,6 +120,9 @@ def test_parse_band():
         parse_band("0.5")
     with pytest.raises(ValueError):
         parse_band("0.8,0.5")
+    for text in ("nan,nan", "-inf,inf", "0,inf"):
+        with pytest.raises(ValueError, match="band: not a finite"):
+            parse_band(text)
 
 
 # -- request round-trip -----------------------------------------------------
@@ -144,6 +157,7 @@ def test_table_json_uses_decimal_strings(capsys):
     obj = json.loads(out)
     # p(400) is far beyond 2^53; it must arrive as a string, undamaged
     assert obj["counts"][400] == "6727090051741041926"
+    assert obj["counts"][12] == "77"
     assert all(isinstance(c, str) for c in obj["counts"])
 
 
@@ -170,12 +184,29 @@ def test_density_subcommand(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["ratios"] == ["1/4"]
+    code, out, _ = _run("density", "--set", "mod:2:1", "--grid", "10,20",
+                        "--format", "json", capsys=capsys)
+    assert code == 0
+    assert json.loads(out)["ratios"] == ["1/2", "1/2"]
+    code, out, _ = _run("density", "--set", "mod:2:1", "--grid", "10,20",
+                        capsys=capsys)
+    assert code == 0
+    rows = _csv_rows(out)
+    assert rows[0] == ["x", "ratio", "ratio_float", "tail_min", "tail_max"]
+    assert rows[1][1] == "1/2"
 
 
 def test_ratio_trivial_row(capsys):
-    code, out, _ = _run("ratio", "--set", "all", "--grid", "1", capsys=capsys)
+    code, out, _ = _run("ratio", "--set", "all", "--grid", "1,10",
+                        capsys=capsys)
     assert code == 0
-    assert _csv_rows(out)[1] == ["1", "0.0"]
+    rows = _csv_rows(out)
+    assert rows[0] == ["n", "ratio"]
+    assert rows[1] == ["1", "0.0"]
+    code, out, _ = _run("ratio", "--set", "all", "--grid", "1,10",
+                        "--format", "json", capsys=capsys)
+    assert code == 0
+    assert json.loads(out)["grid"] == [1, 10]
 
 
 def test_ratio_undefined_entries_blank(capsys):
@@ -260,6 +291,22 @@ def test_arithpro_probe_pass(capsys):
     assert obj["probe_target"] == pytest.approx(math.sqrt(0.5))
 
 
+def test_probe_format_independence(capsys):
+    argv = ["arithpro-probe", "--set", "mod:2:1", "--grid", "200,500",
+            "--band", "0,1"]
+    code, json_out, _ = _run(*argv, capsys=capsys)
+    assert code == 0
+    code, csv_out, _ = _run(*argv, "--format", "csv", capsys=capsys)
+    assert code == 0
+    obj = json.loads(json_out)
+    assert obj["passed"] is True
+    assert obj["band"] == [0.0, 1.0]
+    rows = _csv_rows(csv_out)
+    assert rows[0] == ["x", "value"]
+    assert [int(r[0]) for r in rows[1:]] == obj["xs"] == [200, 500]
+    assert [float(r[1]) for r in rows[1:]] == obj["values"]
+
+
 def test_sb_subcommand(capsys):
     code, out, _ = _run("sb", "--set", "finite:1", "--limit", "3",
                         capsys=capsys)
@@ -267,6 +314,10 @@ def test_sb_subcommand(capsys):
     rows = _csv_rows(out)
     assert rows[0] == ["l", "coeff", "prefix_sum"]
     assert rows[3] == ["3", "1/3", "11/6"]
+    code, out, _ = _run("sb", "--set", "finite:1", "--limit", "3",
+                        "--format", "json", capsys=capsys)
+    assert code == 0
+    assert json.loads(out)["prefix_sums"] == ["1/1", "3/2", "11/6"]
 
 
 def test_invert_reports_exact_match(capsys):
@@ -390,6 +441,29 @@ def test_usage_errors_exit_2(capsys):
                         capsys=capsys)
     assert code == 2
     assert "residue 5 exceeds modulus 4" in err
+    # out-of-range numbers: one line on stderr, nothing on stdout
+    for argv, message in [
+        (["density", "--set", "all", "--grid", "geo:1:10:inf"], "not a finite"),
+        (["genfun", "--set", "all", "--xs", "0.5", "--tail-tol", "inf"],
+         "not a finite"),
+        (["genfun", "--set", "all", "--xs", "0.5", "--density", "1", "--band",
+          "nan,nan", "--format", "csv"], "not a finite"),
+        (["genfun", "--set", "all", "--xs", "0.5", "--density", "1", "--band",
+          "nan,nan"], "not a finite"),
+        (["direct-probe", "--set", "all", "--grid", "10", "--alpha", "1",
+          "--beta", "1", "--rel-tol", "nan"], "not a finite"),
+        (["tauberian-probe", "--set", "all", "--grid", "10", "--target", "inf"],
+         "not a finite"),
+        (["genfun", "--set", "all", "--xs", "pow2:54"], "K2 <= 53"),
+        (["genfun", "--set", "all", "--xs", "0.5", "--density", "-1"], "[0, 1]"),
+        (["genfun", "--set", "all", "--xs", "0.5", "--density", "2"], "[0, 1]"),
+        (["tauberian-probe", "--set", "all", "--grid", "10", "--density", "2"],
+         "[0, 1]"),
+    ]:
+        code, out, err = _run(*argv, capsys=capsys)
+        assert code == 2, argv
+        assert out == "" and err.count("\n") == 1, argv
+        assert err.startswith("error: ") and message in err, argv
 
 
 def test_help_exits_zero(capsys):

@@ -359,13 +359,3 @@ def test_table_indexing():
         table[6]
     with pytest.raises(IndexError):
         table[-1]
-
-
-def test_table_serialization_uses_decimal_strings():
-    table = partition_table(AllParts(), 12)
-    rows = table.to_csv_rows()
-    assert rows[0] == ["n", "count"]
-    assert rows[-1] == [12, "77"]
-    obj = table.to_json_obj()
-    assert obj["counts"][12] == "77"
-    assert all(isinstance(c, str) for c in obj["counts"])

@@ -193,6 +193,19 @@ def test_inversion_range():
         mobius_invert_sums(series, 0)
 
 
+def test_inversion_returns_int_and_checks_divisibility():
+    series = log_gf_coefficients(FiniteParts((1,)), 4)
+    assert isinstance(series, CoefficientSeries)
+    assert type(mobius_invert_sums(series, 4)) is int
+    # b_2 = 1/3 instead of 1/2: A(2) = S(2) - S(1)/2 = 5/6 is no count
+    coeffs = list(series.coeffs)
+    coeffs[2] = Fraction(1, 3)
+    broken = CoefficientSeries(series.spec, series.limit, tuple(coeffs))
+    assert mobius_invert_sums(broken, 1) == 1
+    with pytest.raises(ArithmeticError):
+        mobius_invert_sums(broken, 2)
+
+
 # -- float evaluation -------------------------------------------------------
 
 def test_log_gf_exact_finite_cases():
@@ -296,6 +309,9 @@ def test_abelian_target_helper():
     assert abelian_density_target(Fraction(1, 2)) == pytest.approx(
         math.pi ** 2 / 12)
     assert abelian_density_target(0) == 0.0
+    for density in (-1, Fraction(-1, 100), Fraction(101, 100), 2):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            abelian_density_target(density)
 
 
 def test_abelian_probe_odd_parts():
@@ -355,15 +371,3 @@ def test_tauberian_probe_validation():
         tauberian_probe(AllParts(), -1, [100])
     with pytest.raises(ValueError):
         tauberian_probe(AllParts(), 1, [100, 50])
-
-
-# -- series container -------------------------------------------------------
-
-def test_series_serialization():
-    series = log_gf_coefficients(FiniteParts((1,)), 3)
-    rows = series.to_csv_rows()
-    assert rows[0] == ["l", "coeff", "prefix_sum"]
-    assert rows[3] == [3, "1/3", "11/6"]
-    obj = series.to_json_obj()
-    assert obj["prefix_sums"] == ["1/1", "3/2", "11/6"]
-    assert isinstance(series, CoefficientSeries)

@@ -16,7 +16,7 @@ import pathlib
 
 import pytest
 
-from partgrowth.cli import main
+from partgrowth.cli import _HANDLERS, main
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 
@@ -75,6 +75,10 @@ def _run(argv):
             contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     return code, out.getvalue()
+
+
+def test_every_subcommand_has_golden_cases():
+    assert {argv[0] for _, argv in _CASES} == set(_HANDLERS)
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])

@@ -280,15 +280,6 @@ def test_density_profile_grid_validation():
         density_profile(AllParts(), [0, 5])
 
 
-def test_density_profile_serialization():
-    profile = density_profile(ResidueParts(2, (1,)), [10, 20])
-    obj = profile.to_json_obj()
-    assert obj["ratios"] == ["1/2", "1/2"]
-    rows = profile.to_csv_rows()
-    assert rows[0][0] == "x"
-    assert rows[1][1] == "1/2"
-
-
 # -- prime cache ------------------------------------------------------------
 
 def test_primes_upto_matches_trial_division():
