@@ -152,6 +152,8 @@ def density_growth_probe(spec, grid, *, lower_density, upper_density,
         lo, hi = float(band[0]), float(band[1])
         band_origin = "user"
     elif beta > 0.0:
+        if rel_tol < 0:
+            raise ValueError(f"rel_tol must be >= 0, got {rel_tol}")
         lo = (1.0 - rel_tol) * math.sqrt(alpha)
         hi = min(1.0, (1.0 + rel_tol) * math.sqrt(beta))
         band_origin = "density-default"

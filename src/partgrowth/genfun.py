@@ -13,15 +13,20 @@ counting function A(x) of the set:
     A(n) = sum_{k=1}^{n} (mu(k)/k) * S(n // k)          (Mobius inversion)
 
 Everything on this side is exact rational arithmetic.  Internally the
-series carries a cleared-denominator form over D = lcm(1..limit) so the
-inversion runs on plain integers with quotient blocking; results are
-reduced back to Fractions at the end.
+series carries cleared-denominator forms over D = lcm(1..limit) and
+L = lcm(1..isqrt(limit)), so the inversion runs on plain integers.  Both
+sums split at r = isqrt(n) by Dirichlet's hyperbola method: each k <= r
+is its own term, and the k > r fall into blocks of constant v = n // k
+with v <= r.  In the inversion every product then pairs one D-sized int
+with a small one (mu(k) L/k for k <= r, L S(v) for the blocks), and one
+long division by D L with a zero remainder ends it; each D S(v) and
+L S(v) it reaches is checked to be an integer first.
 
-The divisor sum blocks the same way: one counting_function call per
-distinct value of n // k, O(sqrt(n)) in all, and each block's run of D/k
-summed by binary splitting with one long division per chunk, whose
-remainder must be zero.  At n = 100000 that is about 1 s where one
-multiply-add of D per k took about 6 s.
+The divisor sum makes one counting_function call per distinct value of
+n // k, O(sqrt(n)) in all.  Its k <= r terms A(n // k) L/k are small
+ints, scaled by D/L once, and each block's run of D/k past r is summed
+by binary splitting with one long division per chunk, whose remainder
+must be zero.
 
 log_gf evaluates log F(x) in floating point for 0 < x < 1 with a proven
 truncation bound, streaming the parts of an infinite set instead of
@@ -119,13 +124,21 @@ class CoefficientSeries:
 
     @cached_property
     def _cleared(self):
-        """(D, S*D as ints, prefix of mu(k) * D // k) with D = lcm(1..limit).
+        """The integer forms that mobius_invert_sums multiplies.
 
-        Every b_l is a sum of reciprocals 1/k with k <= limit, so D clears
-        all denominators and the inversion can run on integers.
+        With D = lcm(1..limit) and L = lcm(1..R), R = isqrt(limit):
+        (D, L, D*S(v) for every v, prefix sums of mu(k) * D/k for every k,
+        mu(k) * L/k for k <= R, L*S(v) for v <= R).  Every b_l is a sum of
+        reciprocals 1/k with k <= l, so D clears every S(v) and L every
+        S(v) with v <= R; a value its multiplier does not clear (only a
+        hand-made series has one) is stored as None, and the inversion
+        raises when an n reaches it.  mu is sieved once, for both tables.
         """
         D = _lcm_upto(max(self.limit, 1))
-        scaled = tuple((D // s.denominator) * s.numerator for s in self.sums)
+        R = math.isqrt(self.limit)
+        L = _lcm_upto(max(R, 1))
+        scaled = tuple(_cleared_value(D, s) for s in self.sums)
+        l_sums = tuple(_cleared_value(L, s) for s in self.sums[:R + 1])
         mu = mobius_sieve(self.limit).values
         weighted = [0]
         acc = 0
@@ -134,7 +147,14 @@ class CoefficientSeries:
             if m:
                 acc += m * (D // k)
             weighted.append(acc)
-        return D, scaled, tuple(weighted)
+        mu_l = (0,) + tuple(mu[k] * (L // k) for k in range(1, R + 1))
+        return D, L, scaled, tuple(weighted), mu_l, l_sums
+
+
+def _cleared_value(m, q):
+    """m * q as an int, or None when m does not clear q's denominator."""
+    whole, rem = divmod(m, q.denominator)
+    return None if rem else whole * q.numerator
 
 
 def log_gf_coefficients(spec, limit) -> CoefficientSeries:
@@ -195,12 +215,14 @@ def _harmonic_run(D, a, b) -> int:
 def sums_via_counting(spec, n) -> Fraction:
     """S(n) evaluated through the divisor-sum identity, exactly.
 
-    n // k takes O(sqrt(n)) distinct values v, each on a block [k1, k2]
-    of consecutive k, so with D = lcm(1..n)
+    Split at r = isqrt(n), with D = lcm(1..n) and L = lcm(1..r):
 
-        S(n) = (1/D) * sum over blocks of A(v) * (D/k1 + ... + D/k2).
+        D*S(n) = (D/L) * sum_{k <= r} A(n // k) * (L/k)
+               + sum over blocks [k1, k2] of k > r with v = n // k <= r
+                     of A(v) * (D/k1 + ... + D/k2).
 
-    Each block costs one counting_function call, and its run of D/k is
+    The k <= r terms are small ints, multiplied by D/L once.  Each block
+    past r costs one counting_function call, and its run of D/k is
     summed exactly by _harmonic_run, which checks its own remainder;
     blocks with A(v) = 0 are skipped.  The big-int work is about
     bits(D) * sum(log k) digit products in a few long divisions, where
@@ -211,8 +233,12 @@ def sums_via_counting(spec, n) -> Fraction:
     if n == 0:
         return Fraction(0)
     D = _lcm_upto(n)
-    total = 0
-    k = 1
+    r = math.isqrt(n)
+    L = _lcm_upto(r)
+    head = sum(counting_function(spec, n // k) * (L // k)
+               for k in range(1, r + 1))
+    total = head * (D // L)
+    k = r + 1
     while k <= n:
         v = n // k
         k2 = n // v
@@ -227,24 +253,46 @@ def mobius_invert_sums(series, n) -> int:
     """Recover A(n) from the prefix sums of `series` by Mobius inversion.
 
     Exact: equals counting_function(series.spec, n) whenever n is within
-    the series limit.  Runs on the cleared-denominator form, blocking
-    over the O(sqrt(n)) distinct values of n // k.  Raises ArithmeticError
-    when the sum is not an integer, which no true log-series allows.
+    the series limit.  Dirichlet's hyperbola method splits the sum at
+    r = isqrt(n), so each product has one D-sized factor and one small:
+
+        D*L*A(n) = sum_{k <= r} D*S(n // k) * (mu(k) * L/k)
+                 + sum over blocks [k1, k2] of k > r with v = n // k <= r
+                       of L*S(v) * (D*M(k2) - D*M(k1 - 1)),
+
+    where M(k) = sum_{j <= k} mu(j)/j and every factor comes from
+    series._cleared.  Two exactness checks guard it: each D*S(v) and
+    L*S(v) the sum reaches must be an integer, and the total must divide
+    by D*L.  Either failure raises ArithmeticError, which no true
+    log-series allows.
     """
     if not 1 <= n <= series.limit:
         raise ValueError(f"n={n} outside series range [1, {series.limit}]")
-    D, scaled, weighted = series._cleared
+    D, L, scaled, weighted, mu_l, l_sums = series._cleared
+    r = math.isqrt(n)
     total = 0
-    k = 1
+    for k in range(1, r + 1):
+        if mu_l[k]:
+            total += _reached(scaled, n // k, n) * mu_l[k]
+    k = r + 1
     while k <= n:
         v = n // k
         k2 = n // v
-        total += scaled[v] * (weighted[k2] - weighted[k - 1])
+        total += _reached(l_sums, v, n) * (weighted[k2] - weighted[k - 1])
         k = k2 + 1
-    count, rem = divmod(total, D * D)
+    count, rem = divmod(total, D * L)
     if rem:
         raise ArithmeticError(f"inversion at n={n} is not an integer")
     return count
+
+
+def _reached(cleared, v, n) -> int:
+    """cleared[v], or ArithmeticError if its multiplier left a fraction."""
+    value = cleared[v]
+    if value is None:
+        raise ArithmeticError(
+            f"inversion at n={n}: S({v}) is not an integer once cleared")
+    return value
 
 
 # ---------------------------------------------------------------------------

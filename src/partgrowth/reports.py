@@ -56,7 +56,10 @@ class ProbeReport:
 
 def default_band(target, rel_tol):
     """target widened by rel_tol either way; at target 0, rel_tol becomes
-    an absolute ceiling, band [0, rel_tol]."""
+    an absolute ceiling, band [0, rel_tol].  A negative rel_tol would
+    invert the band and is refused."""
+    if rel_tol < 0:
+        raise ValueError(f"rel_tol must be >= 0, got {rel_tol}")
     if target > 0.0:
         return target * (1.0 - rel_tol), target * (1.0 + rel_tol)
     return 0.0, rel_tol

@@ -459,6 +459,15 @@ def test_usage_errors_exit_2(capsys):
         (["genfun", "--set", "all", "--xs", "0.5", "--density", "2"], "[0, 1]"),
         (["tauberian-probe", "--set", "all", "--grid", "10", "--density", "2"],
          "[0, 1]"),
+        # a negative tolerance would invert the band
+        (["direct-probe", "--set", "all", "--grid", "10,20", "--alpha", "1",
+          "--beta", "1", "--rel-tol", "-5"], "rel_tol must be >= 0"),
+        (["tauberian-probe", "--set", "all", "--grid", "10", "--target", "1",
+          "--rel-tol", "-3"], "rel_tol must be >= 0"),
+        (["genfun", "--set", "all", "--xs", "0.5", "--density", "1",
+          "--rel-tol", "-3"], "rel_tol must be >= 0"),
+        (["arithpro-probe", "--set", "mod:2:1", "--grid", "10,20",
+          "--rel-tol", "-1"], "rel_tol must be >= 0"),
     ]:
         code, out, err = _run(*argv, capsys=capsys)
         assert code == 2, argv

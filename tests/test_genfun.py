@@ -206,6 +206,80 @@ def test_inversion_returns_int_and_checks_divisibility():
         mobius_invert_sums(broken, 2)
 
 
+def _inversion_by_definition(series, n):
+    """A(n) as the plain sum of mu(k)/k * S(n // k) over every k."""
+    mu = mobius_sieve(n).values
+    return sum((Fraction(mu[k], k) * series.sums[n // k]
+                for k in range(1, n + 1)), Fraction(0))
+
+
+INVERSION_SETS = st.one_of(
+    st.integers(1, 60).map(CofiniteTail),
+    st.lists(st.integers(1, 400), min_size=1, max_size=8, unique=True).map(
+        lambda ps: FiniteParts(tuple(sorted(ps)))),
+    st.integers(1, 12).flatmap(_residue_spec),
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(spec=INVERSION_SETS, limit=st.integers(1, 400))
+def test_split_inversion_matches_definition_and_counting(spec, limit):
+    series = log_gf_coefficients(spec, limit)
+    for n in range(1, limit + 1):
+        recovered = mobius_invert_sums(series, n)
+        assert recovered == _inversion_by_definition(series, n), (spec, n)
+        assert recovered == counting_function(spec, n), (spec, n)
+
+
+@pytest.mark.parametrize("spec", ROUND_TRIP_FAMILY, ids=str)
+def test_split_inversion_at_the_square_root_boundaries(spec):
+    # r = isqrt(n) moves at r^2; r^2 - 1 and r^2 + 2r are the last n of
+    # the previous and of the current r
+    series = log_gf_coefficients(spec, 44 * 44 + 2 * 44)
+    for r in (1, 2, 3, 7, 31, 44):
+        for n in (r * r - 1, r * r, r * r + 2 * r):
+            if n >= 1:
+                assert mobius_invert_sums(series, n) == counting_function(
+                    spec, n), (spec, n)
+
+
+def _with_coefficient(series, l, value):
+    coeffs = list(series.coeffs)
+    coeffs[l] = value
+    return CoefficientSeries(series.spec, series.limit, tuple(coeffs))
+
+
+def test_split_inversion_checks_the_small_factor_lazily():
+    # limit 30: L = lcm(1..5) = 60, and b_2 = 1/7 makes S(v) = 8/7 + ...
+    # for v >= 2, which 60 does not clear; D = lcm(1..30) still does
+    broken = _with_coefficient(log_gf_coefficients(FiniteParts((1,)), 30),
+                               2, Fraction(1, 7))
+    assert mobius_invert_sums(broken, 1) == 1
+    # n = 8: r = 2, and k = 3, 4 give v = 2, so L*S(2) is reached
+    with pytest.raises(ArithmeticError, match=r"S\(2\) is not an integer"):
+        mobius_invert_sums(broken, 8)
+
+
+def test_split_inversion_checks_the_total_past_the_square_root():
+    # b_10 = 1/7 for 1/10: S(v) changes only for v >= 10 > r = 3, so
+    # n = 12 reaches it through D*S(12) with k = 1 alone
+    broken = _with_coefficient(log_gf_coefficients(FiniteParts((1,)), 30),
+                               10, Fraction(1, 7))
+    for n in range(1, 10):
+        assert mobius_invert_sums(broken, n) == 1
+    with pytest.raises(ArithmeticError, match="n=12 is not an integer"):
+        mobius_invert_sums(broken, 12)
+
+
+def test_split_inversion_never_floors_the_large_factor():
+    # b_3 = 1/7: D = lcm(1..4) = 12 does not clear S(3) = 23/14
+    broken = _with_coefficient(log_gf_coefficients(FiniteParts((1,)), 4),
+                               3, Fraction(1, 7))
+    assert [mobius_invert_sums(broken, n) for n in (1, 2)] == [1, 1]
+    with pytest.raises(ArithmeticError, match=r"S\(3\) is not an integer"):
+        mobius_invert_sums(broken, 3)
+
+
 # -- float evaluation -------------------------------------------------------
 
 def test_log_gf_exact_finite_cases():
