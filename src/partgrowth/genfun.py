@@ -12,21 +12,15 @@ counting function A(x) of the set:
     S(n) = sum_{k=1}^{n} (1/k) * A(n // k)              (divisor sum)
     A(n) = sum_{k=1}^{n} (mu(k)/k) * S(n // k)          (Mobius inversion)
 
-Everything on this side is exact rational arithmetic.  Internally the
-series carries cleared-denominator forms over D = lcm(1..limit) and
-L = lcm(1..isqrt(limit)), so the inversion runs on plain integers.  Both
-sums split at r = isqrt(n) by Dirichlet's hyperbola method: each k <= r
-is its own term, and the k > r fall into blocks of constant v = n // k
-with v <= r.  In the inversion every product then pairs one D-sized int
-with a small one (mu(k) L/k for k <= r, L S(v) for the blocks), and one
-long division by D L with a zero remainder ends it; each D S(v) and
-L S(v) it reaches is checked to be an integer first.
-
-The divisor sum makes one counting_function call per distinct value of
-n // k, O(sqrt(n)) in all.  Its k <= r terms A(n // k) L/k are small
-ints, scaled by D/L once, and each block's run of D/k past r is summed
-by binary splitting with one long division per chunk, whose remainder
-must be zero.
+Everything on this side is exact rational arithmetic.  The series
+carries integer forms cleared over D = lcm(1..limit) and
+L = lcm(1..isqrt(limit)).  Both identities split their sum at
+r = isqrt(n) by Dirichlet's hyperbola method: each k <= r is one term,
+and the k > r fall into blocks of constant v = n // k <= r.  So each
+inversion product pairs a D-sized int with a small one, and the divisor
+sum's k <= r terms are small ints.  Every quotient that must be exact
+is checked: the inversion raises if a D*S(v) or L*S(v) it reaches is
+not an integer or if its total leaves a remainder modulo D*L.
 
 log_gf evaluates log F(x) in floating point for 0 < x < 1 with a proven
 truncation bound, streaming the parts of an infinite set instead of
@@ -124,15 +118,13 @@ class CoefficientSeries:
 
     @cached_property
     def _cleared(self):
-        """The integer forms that mobius_invert_sums multiplies.
+        """(D, L, D*S(v), prefix sums of mu(k) * D/k, mu(k) * L/k for
+        k <= R, L*S(v) for v <= R) with D = lcm(1..limit), L = lcm(1..R)
+        and R = isqrt(limit), from one sieve of mu.
 
-        With D = lcm(1..limit) and L = lcm(1..R), R = isqrt(limit):
-        (D, L, D*S(v) for every v, prefix sums of mu(k) * D/k for every k,
-        mu(k) * L/k for k <= R, L*S(v) for v <= R).  Every b_l is a sum of
-        reciprocals 1/k with k <= l, so D clears every S(v) and L every
-        S(v) with v <= R; a value its multiplier does not clear (only a
-        hand-made series has one) is stored as None, and the inversion
-        raises when an n reaches it.  mu is sieved once, for both tables.
+        b_l has denominators k <= l, so D clears every S(v) and L every
+        S(v) with v <= R.  A value its multiplier does not clear (only a
+        hand-made series has one) is None; the inversion raises on it.
         """
         D = _lcm_upto(max(self.limit, 1))
         R = math.isqrt(self.limit)
