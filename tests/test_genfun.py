@@ -213,16 +213,8 @@ def _inversion_by_definition(series, n):
                 for k in range(1, n + 1)), Fraction(0))
 
 
-INVERSION_SETS = st.one_of(
-    st.integers(1, 60).map(CofiniteTail),
-    st.lists(st.integers(1, 400), min_size=1, max_size=8, unique=True).map(
-        lambda ps: FiniteParts(tuple(sorted(ps)))),
-    st.integers(1, 12).flatmap(_residue_spec),
-)
-
-
 @settings(max_examples=12, deadline=None)
-@given(spec=INVERSION_SETS, limit=st.integers(1, 400))
+@given(spec=PART_SETS, limit=st.integers(1, 400))
 def test_split_inversion_matches_definition_and_counting(spec, limit):
     series = log_gf_coefficients(spec, limit)
     for n in range(1, limit + 1):
@@ -250,8 +242,8 @@ def _with_coefficient(series, l, value):
 
 
 def test_split_inversion_checks_the_small_factor_lazily():
-    # limit 30: L = lcm(1..5) = 60, and b_2 = 1/7 makes S(v) = 8/7 + ...
-    # for v >= 2, which 60 does not clear; D = lcm(1..30) still does
+    # b_2 = 1/7 puts a 7 into the denominator of every S(v) with v >= 2:
+    # at limit 30, L = lcm(1..5) = 60 does not clear it, D = lcm(1..30) does
     broken = _with_coefficient(log_gf_coefficients(FiniteParts((1,)), 30),
                                2, Fraction(1, 7))
     assert mobius_invert_sums(broken, 1) == 1
