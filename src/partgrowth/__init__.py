@@ -16,10 +16,9 @@ from .counting import (BRUTEFORCE_LIMIT, CheckReport, PartitionTable,
                        check_window_max, count_partitions_bruteforce,
                        partition_table, pentagonal_table, scaled_count,
                        table_from_parts, window_max_location)
-from .genfun import (CoefficientSeries, MobiusTable, abelian_density_target,
-                     abelian_probe, log_gf, log_gf_coefficients,
-                     mobius_invert_sums, mobius_sieve, sums_via_counting,
-                     tauberian_probe)
+from .genfun import (CoefficientSeries, abelian_density_target, abelian_probe,
+                     log_gf, log_gf_coefficients, mobius_invert_sums,
+                     mobius_sieve, sums_via_counting, tauberian_probe)
 from .partsets import (AllParts, CofiniteTail, DensityProfile, FileParts,
                        FiniteParts, GcdResult, PartFileError, PartSetSpec,
                        PrimeParts, ResidueParts, UnsupportedNormalizationError,
@@ -33,7 +32,7 @@ __version__ = "1.0.0"
 __all__ = [
     "AllParts", "BRUTEFORCE_LIMIT", "C0", "CheckReport", "CoefficientSeries",
     "CofiniteTail", "DensityProfile", "FileParts", "FiniteParts", "GcdResult",
-    "GrowthSeries", "LeadingRatio", "MobiusTable", "PartFileError",
+    "GrowthSeries", "LeadingRatio", "PartFileError",
     "PartSetSpec", "PartitionTable", "PrimeParts", "ProbeReport",
     "ResidueParts", "UnsupportedNormalizationError", "abelian_density_target",
     "abelian_probe", "arithmetic_progression_probe",

@@ -360,6 +360,7 @@ def _cmd_sb(opts):
         "coeffs": [frac_str(c) for c in series.coeffs[1:]],
         "prefix_sums": [frac_str(s) for s in series.sums[1:]],
     }
+    del series      # free the Fraction views before the strings are joined
     _emit(opts, obj, {"l": range(1, limit + 1), "coeff": obj["coeffs"],
                       "prefix_sum": obj["prefix_sums"]})
     return 0

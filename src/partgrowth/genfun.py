@@ -12,15 +12,18 @@ counting function A(x) of the set:
     S(n) = sum_{k=1}^{n} (1/k) * A(n // k)              (divisor sum)
     A(n) = sum_{k=1}^{n} (mu(k)/k) * S(n // k)          (Mobius inversion)
 
-Everything on this side is exact rational arithmetic.  The series
-carries integer forms cleared over D = lcm(1..limit) and
-L = lcm(1..isqrt(limit)).  Both identities split their sum at
-r = isqrt(n) by Dirichlet's hyperbola method: each k <= r is one term,
-and the k > r fall into blocks of constant v = n // k <= r.  So each
-inversion product pairs a D-sized int with a small one, and the divisor
-sum's k <= r terms are small ints.  Every quotient that must be exact
-is checked: the inversion raises if a D*S(v) or L*S(v) it reaches is
-not an integer or if its total leaves a remainder modulo D*L.
+Everything on this side is exact.  Since b_l = sigma_A(l) / l with
+sigma_A(l) the sum of the members of A that divide l, the series stores
+the ints sigma_A(l) alone; its Fraction coefficients and prefix sums
+are views of them, and so are its integer forms cleared over
+D = lcm(1..limit) and L = lcm(1..isqrt(limit)), which are ints because
+D and L divide every index they meet.  Both identities split their sum
+at r = isqrt(n) by Dirichlet's hyperbola method: each k <= r is one
+term, and the k > r fall into blocks of constant v = n // k <= r.  So
+each inversion product pairs a D-sized int with a small one, and the
+divisor sum's k <= r terms are small ints.  The inversion raises if its
+total leaves a remainder modulo D*L, and the divisor sum if a run of
+D/k does.
 
 log_gf evaluates log F(x) in floating point for 0 < x < 1 with a proven
 truncation bound, streaming the parts of an infinite set instead of
@@ -34,9 +37,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate, islice
 
 from .partsets import (FileParts, FiniteParts, PartSetSpec, counting_function,
-                       enumerate_parts, iter_parts, primes_upto)
+                       iter_parts, primes_upto)
 from .reports import ProbeReport, default_band, judge_tail
 
 PI2_OVER_6 = math.pi * math.pi / 6.0
@@ -49,21 +53,9 @@ def abelian_density_target(density) -> float:
     return PI2_OVER_6 * float(density)
 
 
-@dataclass(frozen=True)
-class MobiusTable:
-    """mu(0..limit) as a tuple; mu(0) is stored as 0 by convention."""
-
-    limit: int
-    values: tuple[int, ...]
-
-    def __getitem__(self, n) -> int:
-        if not 1 <= n <= self.limit:
-            raise IndexError(f"n={n} outside sieve range [1, {self.limit}]")
-        return self.values[n]
-
-
-def mobius_sieve(limit) -> MobiusTable:
-    """Sieve mu(1..limit): flip sign per prime factor, zero square multiples."""
+def mobius_sieve(limit) -> tuple[int, ...]:
+    """mu(0..limit) as a tuple, mu(0) = 0: flip sign per prime factor,
+    zero square multiples."""
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     mu = [1] * (limit + 1)
@@ -74,7 +66,7 @@ def mobius_sieve(limit) -> MobiusTable:
         pp = p * p
         for m in range(pp, limit + 1, pp):
             mu[m] = 0
-    return MobiusTable(limit=limit, values=tuple(mu))
+    return tuple(mu)
 
 
 @lru_cache(maxsize=256)
@@ -97,24 +89,28 @@ def _lcm_upto(n) -> int:
 
 @dataclass(frozen=True)
 class CoefficientSeries:
-    """b_1..b_limit of log F for one part set, as exact rationals.
+    """b_1..b_limit of log F for one part set, held as the ints sigma_A(l).
 
-    coeffs is indexed 0..limit with coeffs[0] = 0; sums holds the running
-    prefix totals S(0..limit).
+    sigma[l] is the sum of the members of A that divide l (sigma[0] = 0),
+    and b_l = sigma[l] / l.  coeffs (b_0..b_limit, b_0 = 0) and sums
+    (the prefix totals S(0..limit)) are exact Fraction views of it.
     """
 
     spec: PartSetSpec
     limit: int
-    coeffs: tuple[Fraction, ...]
+    sigma: tuple[int, ...]
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return (Fraction(0),) + tuple(
+            map(Fraction, self.sigma[1:], range(1, self.limit + 1)))
 
     @cached_property
     def sums(self) -> tuple[Fraction, ...]:
-        acc = Fraction(0)
-        out = []
-        for c in self.coeffs:
-            acc += c
-            out.append(acc)
-        return tuple(out)
+        # streamed, not read from _cleared, so that the prefix sums alone
+        # never build the inversion's D-sized tuples
+        D = _lcm_upto(max(self.limit, 1))
+        return tuple(Fraction(x, D) for x in _cleared_prefix(D, self.sigma))
 
     @cached_property
     def _cleared(self):
@@ -122,43 +118,37 @@ class CoefficientSeries:
         k <= R, L*S(v) for v <= R) with D = lcm(1..limit), L = lcm(1..R)
         and R = isqrt(limit), from one sieve of mu.
 
-        b_l has denominators k <= l, so D clears every S(v) and L every
-        S(v) with v <= R.  A value its multiplier does not clear (only a
-        hand-made series has one) is None; the inversion raises on it.
+        D divides every l <= limit and L every l <= R, so each value is an
+        int built from sigma without a Fraction.
         """
         D = _lcm_upto(max(self.limit, 1))
         R = math.isqrt(self.limit)
         L = _lcm_upto(max(R, 1))
-        scaled = tuple(_cleared_value(D, s) for s in self.sums)
-        l_sums = tuple(_cleared_value(L, s) for s in self.sums[:R + 1])
-        mu = mobius_sieve(self.limit).values
-        weighted = [0]
-        acc = 0
-        for k in range(1, self.limit + 1):
-            m = mu[k]
-            if m:
-                acc += m * (D // k)
-            weighted.append(acc)
+        mu = mobius_sieve(self.limit)
         mu_l = (0,) + tuple(mu[k] * (L // k) for k in range(1, R + 1))
-        return D, L, scaled, tuple(weighted), mu_l, l_sums
+        return (D, L, tuple(_cleared_prefix(D, self.sigma)),
+                tuple(_cleared_prefix(D, mu)), mu_l,
+                tuple(islice(_cleared_prefix(L, self.sigma), R + 1)))
 
 
-def _cleared_value(m, q):
-    """m * q as an int, or None when m does not clear q's denominator."""
-    whole, rem = divmod(m, q.denominator)
-    return None if rem else whole * q.numerator
+def _cleared_prefix(m, values):
+    """m * (values[1]/1 + ... + values[v]/v) for v = 0, 1, 2, ..., lazily.
+
+    Each term is m // l * values[l], exact while m is a multiple of l.
+    """
+    return accumulate((m // l * x for l, x in enumerate(values[1:], 1)),
+                      initial=0)
 
 
 def log_gf_coefficients(spec, limit) -> CoefficientSeries:
-    """Exact b_1..b_limit: each member a contributes 1/k at position a*k."""
+    """Exact b_1..b_limit through sigma_A: each member a adds a at a, 2a, ..."""
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    coeffs = [Fraction(0)] * (limit + 1)
-    recip = [None] + [Fraction(1, k) for k in range(1, limit + 1)]
-    for a in enumerate_parts(spec, limit):
-        for k in range(1, limit // a + 1):
-            coeffs[a * k] += recip[k]
-    return CoefficientSeries(spec=spec, limit=limit, coeffs=tuple(coeffs))
+    sigma = [0] * (limit + 1)
+    for a in iter_parts(spec, limit):
+        for l in range(a, limit + 1, a):
+            sigma[l] += a
+    return CoefficientSeries(spec=spec, limit=limit, sigma=tuple(sigma))
 
 
 #: Terms per leaf of the binary-splitting tree.
@@ -253,10 +243,10 @@ def mobius_invert_sums(series, n) -> int:
                        of L*S(v) * (D*M(k2) - D*M(k1 - 1)),
 
     where M(k) = sum_{j <= k} mu(j)/j and every factor comes from
-    series._cleared.  Two exactness checks guard it: each D*S(v) and
-    L*S(v) the sum reaches must be an integer, and the total must divide
-    by D*L.  Either failure raises ArithmeticError, which no true
-    log-series allows.
+    series._cleared.  Every factor is an int, so one exactness check
+    guards it: the total must divide by D*L.  A remainder raises
+    ArithmeticError, which no true log-series allows; it catches a sigma
+    that comes from no part set.
     """
     if not 1 <= n <= series.limit:
         raise ValueError(f"n={n} outside series range [1, {series.limit}]")
@@ -265,26 +255,17 @@ def mobius_invert_sums(series, n) -> int:
     total = 0
     for k in range(1, r + 1):
         if mu_l[k]:
-            total += _reached(scaled, n // k, n) * mu_l[k]
+            total += scaled[n // k] * mu_l[k]
     k = r + 1
     while k <= n:
         v = n // k
         k2 = n // v
-        total += _reached(l_sums, v, n) * (weighted[k2] - weighted[k - 1])
+        total += l_sums[v] * (weighted[k2] - weighted[k - 1])
         k = k2 + 1
     count, rem = divmod(total, D * L)
     if rem:
         raise ArithmeticError(f"inversion at n={n} is not an integer")
     return count
-
-
-def _reached(cleared, v, n) -> int:
-    """cleared[v], or ArithmeticError if its multiplier left a fraction."""
-    value = cleared[v]
-    if value is None:
-        raise ArithmeticError(
-            f"inversion at n={n}: S({v}) is not an integer once cleared")
-    return value
 
 
 # ---------------------------------------------------------------------------

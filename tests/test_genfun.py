@@ -35,25 +35,21 @@ def _divisors(n):
 # -- Mobius sieve -----------------------------------------------------------
 
 def test_mobius_small_values():
-    table = mobius_sieve(30)
-    assert table.values[1:5] == (1, -1, -1, 0)
-    assert table[30] == -1
-    assert table[12] == 0
+    mu = mobius_sieve(30)
+    assert mu[1:5] == (1, -1, -1, 0)
+    assert mu[30] == -1
+    assert mu[12] == 0
 
 
 def test_mobius_divisor_sum_identity():
-    table = mobius_sieve(300)
+    mu = mobius_sieve(300)
     for n in range(1, 301):
-        total = sum(table[d] for d in _divisors(n))
+        total = sum(mu[d] for d in _divisors(n))
         assert total == (1 if n == 1 else 0), n
 
 
 def test_mobius_bounds():
-    table = mobius_sieve(10)
-    with pytest.raises(IndexError):
-        table[0]
-    with pytest.raises(IndexError):
-        table[11]
+    assert mobius_sieve(10)[0] == 0
     with pytest.raises(ValueError):
         mobius_sieve(-1)
 
@@ -122,6 +118,24 @@ PART_SETS = st.one_of(
         lambda ps: FiniteParts(tuple(sorted(ps)))),
     st.integers(1, 12).flatmap(_residue_spec),
 )
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=PART_SETS, limit=st.integers(1, 400))
+def test_sigma_and_views_match_a_fraction_reference(spec, limit):
+    series = log_gf_coefficients(spec, limit)
+    parts = enumerate_parts(spec, limit)
+    assert series.sigma == (0,) + tuple(
+        sum(a for a in parts if l % a == 0) for l in range(1, limit + 1))
+    coeffs = [Fraction(0)] * (limit + 1)
+    for a in parts:
+        for k in range(1, limit // a + 1):
+            coeffs[a * k] += Fraction(1, k)
+    sums = [Fraction(0)]
+    for c in coeffs[1:]:
+        sums.append(sums[-1] + c)
+    assert series.coeffs == tuple(coeffs)
+    assert series.sums == tuple(sums)
 
 
 def _divisor_sum_by_terms(spec, n):
@@ -193,14 +207,20 @@ def test_inversion_range():
         mobius_invert_sums(series, 0)
 
 
+def _with_sigma_bumped(series, l):
+    """series with sigma(l) one larger: a sigma that comes from no set."""
+    sigma = list(series.sigma)
+    sigma[l] += 1
+    return CoefficientSeries(series.spec, series.limit, tuple(sigma))
+
+
 def test_inversion_returns_int_and_checks_divisibility():
     series = log_gf_coefficients(FiniteParts((1,)), 4)
     assert isinstance(series, CoefficientSeries)
     assert type(mobius_invert_sums(series, 4)) is int
-    # b_2 = 1/3 instead of 1/2: A(2) = S(2) - S(1)/2 = 5/6 is no count
-    coeffs = list(series.coeffs)
-    coeffs[2] = Fraction(1, 3)
-    broken = CoefficientSeries(series.spec, series.limit, tuple(coeffs))
+    # sigma(2) = 2 gives b_2 = 1 for 1/2: A(2) = S(2) - S(1)/2 = 3/2 is
+    # no count
+    broken = _with_sigma_bumped(series, 2)
     assert mobius_invert_sums(broken, 1) == 1
     with pytest.raises(ArithmeticError):
         mobius_invert_sums(broken, 2)
@@ -208,7 +228,7 @@ def test_inversion_returns_int_and_checks_divisibility():
 
 def _inversion_by_definition(series, n):
     """A(n) as the plain sum of mu(k)/k * S(n // k) over every k."""
-    mu = mobius_sieve(n).values
+    mu = mobius_sieve(n)
     return sum((Fraction(mu[k], k) * series.sums[n // k]
                 for k in range(1, n + 1)), Fraction(0))
 
@@ -235,41 +255,15 @@ def test_split_inversion_at_the_square_root_boundaries(spec):
                     spec, n), (spec, n)
 
 
-def _with_coefficient(series, l, value):
-    coeffs = list(series.coeffs)
-    coeffs[l] = value
-    return CoefficientSeries(series.spec, series.limit, tuple(coeffs))
-
-
-def test_split_inversion_checks_the_small_factor_lazily():
-    # b_2 = 1/7 puts a 7 into the denominator of every S(v) with v >= 2:
-    # at limit 30, L = lcm(1..5) = 60 does not clear it, D = lcm(1..30) does
-    broken = _with_coefficient(log_gf_coefficients(FiniteParts((1,)), 30),
-                               2, Fraction(1, 7))
-    assert mobius_invert_sums(broken, 1) == 1
-    # n = 8: r = 2, and k = 3, 4 give v = 2, so L*S(2) is reached
-    with pytest.raises(ArithmeticError, match=r"S\(2\) is not an integer"):
-        mobius_invert_sums(broken, 8)
-
-
 def test_split_inversion_checks_the_total_past_the_square_root():
-    # b_10 = 1/7 for 1/10: S(v) changes only for v >= 10 > r = 3, so
-    # n = 12 reaches it through D*S(12) with k = 1 alone
-    broken = _with_coefficient(log_gf_coefficients(FiniteParts((1,)), 30),
-                               10, Fraction(1, 7))
+    # sigma(10) = 2 gives b_10 = 1/5 for 1/10: S(v) changes only for
+    # v >= 10 > r = 3, so n = 12 reaches it through D*S(12) with k = 1 alone
+    broken = _with_sigma_bumped(log_gf_coefficients(FiniteParts((1,)), 30),
+                                10)
     for n in range(1, 10):
         assert mobius_invert_sums(broken, n) == 1
     with pytest.raises(ArithmeticError, match="n=12 is not an integer"):
         mobius_invert_sums(broken, 12)
-
-
-def test_split_inversion_never_floors_the_large_factor():
-    # b_3 = 1/7: D = lcm(1..4) = 12 does not clear S(3) = 23/14
-    broken = _with_coefficient(log_gf_coefficients(FiniteParts((1,)), 4),
-                               3, Fraction(1, 7))
-    assert [mobius_invert_sums(broken, n) for n in (1, 2)] == [1, 1]
-    with pytest.raises(ArithmeticError, match=r"S\(3\) is not an integer"):
-        mobius_invert_sums(broken, 3)
 
 
 # -- float evaluation -------------------------------------------------------

@@ -32,6 +32,8 @@ _CASES = [
     ("finite-asym", ["finite-asym", "--set", "finite:1,2,3", "--grid",
                      "10,50,100"]),
     ("sb", ["sb", "--set", "mod:2:1", "--limit", "12"]),
+    ("sb-all", ["sb", "--set", "all", "--limit", "40"]),
+    ("sb-cofinite3", ["sb", "--set", "cofinite:3", "--limit", "40"]),
     ("invert", ["invert", "--set", "primes", "--limit", "30"]),
     ("genfun", ["genfun", "--set", "mod:2:1", "--xs", "pow2:2:5"]),
     ("check-lemmas-all", ["check-lemmas", "--set", "all", "--limit", "60"]),
