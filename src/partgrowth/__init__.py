@@ -19,9 +19,9 @@ from .counting import (BRUTEFORCE_LIMIT, CheckReport, PartitionTable,
 from .genfun import (CoefficientSeries, abelian_density_target, abelian_probe,
                      log_gf, log_gf_coefficients, mobius_invert_sums,
                      mobius_sieve, sums_via_counting, tauberian_probe)
-from .partsets import (AllParts, CofiniteTail, DensityProfile, FileParts,
-                       FiniteParts, GcdResult, PartFileError, PartSetSpec,
-                       PrimeParts, ResidueParts, UnsupportedNormalizationError,
+from .partsets import (AllParts, CofiniteTail, DensityProfile, FiniteParts,
+                       GcdResult, PartFileError, PartSetSpec, PrimeParts,
+                       ResidueParts, UnsupportedNormalizationError,
                        counting_function, density_profile, enumerate_parts,
                        gcd_of_set, load_part_file, normalize_by_gcd,
                        prime_count, primes_upto)
@@ -31,9 +31,9 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AllParts", "BRUTEFORCE_LIMIT", "C0", "CheckReport", "CoefficientSeries",
-    "CofiniteTail", "DensityProfile", "FileParts", "FiniteParts", "GcdResult",
-    "GrowthSeries", "LeadingRatio", "PartFileError",
-    "PartSetSpec", "PartitionTable", "PrimeParts", "ProbeReport",
+    "CofiniteTail", "DensityProfile", "FiniteParts", "GcdResult",
+    "GrowthSeries", "LeadingRatio", "PartFileError", "PartSetSpec",
+    "PartitionTable", "PrimeParts", "ProbeReport",
     "ResidueParts", "UnsupportedNormalizationError", "abelian_density_target",
     "abelian_probe", "arithmetic_progression_probe",
     "check_cofinite_monotonicity", "check_shift_monotonicity",

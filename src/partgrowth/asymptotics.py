@@ -25,9 +25,8 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .counting import partition_table
-from .partsets import (FileParts, FiniteParts, PartSetSpec, ResidueParts,
-                       analytic_gcd)
-from .reports import ProbeReport, judge_tail
+from .partsets import FiniteParts, PartSetSpec, ResidueParts, analytic_gcd
+from .reports import ProbeReport, default_band, judge_tail
 
 #: pi * sqrt(2/3), the growth constant of the unrestricted counts.
 C0 = math.pi * math.sqrt(2.0 / 3.0)
@@ -89,7 +88,7 @@ def finite_set_leading_ratio(table, n) -> LeadingRatio:
     divided through by d first.
     """
     spec = table.spec
-    if not isinstance(spec, (FiniteParts, FileParts)):
+    if not isinstance(spec, FiniteParts):
         raise ValueError(f"leading ratio needs a finite part set, got {spec}")
     parts = spec.parts
     g = math.gcd(*parts)
@@ -109,7 +108,7 @@ def finite_set_leading_ratio(table, n) -> LeadingRatio:
 # ---------------------------------------------------------------------------
 
 def density_growth_probe(spec, grid, *, lower_density, upper_density,
-                         band=None, rel_tol=0.10, table=None) -> ProbeReport:
+                         band=None, rel_tol=0.10) -> ProbeReport:
     """Judge the tail of r(n) against the density-derived band.
 
     Quantitative mode (upper density > 0): the default band is
@@ -130,32 +129,26 @@ def density_growth_probe(spec, grid, *, lower_density, upper_density,
     grid = tuple(int(n) for n in grid)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
         raise ValueError(f"grid must be strictly increasing and >= 1: {grid}")
-    alpha = float(lower_density)
-    beta = float(upper_density)
-    if not 0.0 <= alpha <= beta <= 1.0:
+    # compared exactly first: float() of a huge rational overflows
+    if not 0 <= lower_density <= upper_density <= 1:
         raise ValueError(
             f"need 0 <= lower <= upper <= 1, got {lower_density}, {upper_density}")
-    limit = grid[-1]
+    alpha = float(lower_density)
+    beta = float(upper_density)
     g = analytic_gcd(spec)
     if g != 1:
         raise ValueError(
             f"set has common divisor {g}; normalize by the gcd and "
             f"probe the divided-through set")
-    if table is None:
-        table = partition_table(spec, limit)
-    elif table.limit < limit:
-        raise ValueError(
-            f"supplied table stops at {table.limit}, need {limit}")
-    values = growth_ratio_series(table, grid).ratios
+    values = growth_ratio_series(partition_table(spec, grid[-1]), grid).ratios
 
     if band is not None:
         lo, hi = float(band[0]), float(band[1])
         band_origin = "user"
     elif beta > 0.0:
-        if rel_tol < 0:
-            raise ValueError(f"rel_tol must be >= 0, got {rel_tol}")
-        lo = (1.0 - rel_tol) * math.sqrt(alpha)
-        hi = min(1.0, (1.0 + rel_tol) * math.sqrt(beta))
+        low, high = default_band(1.0, rel_tol)
+        lo = low * math.sqrt(alpha)
+        hi = min(1.0, high * math.sqrt(beta))
         band_origin = "density-default"
     else:
         # decay regime: judge_tail demands positive, strictly falling samples
@@ -163,8 +156,8 @@ def density_growth_probe(spec, grid, *, lower_density, upper_density,
         band_origin = "decay-qualitative"
     return judge_tail("density-growth", grid, values, lo, hi, meta={
         "set": str(spec),
-        "lower_density": float(lower_density),
-        "upper_density": float(upper_density),
+        "lower_density": alpha,
+        "upper_density": beta,
         "sqrt_lower_target": math.sqrt(alpha),
         "sqrt_upper_target": math.sqrt(beta),
         "band_origin": band_origin,
@@ -174,7 +167,7 @@ def density_growth_probe(spec, grid, *, lower_density, upper_density,
 
 
 def arithmetic_progression_probe(modulus, residues, grid, *, band=None,
-                                 rel_tol=0.10, table=None) -> ProbeReport:
+                                 rel_tol=0.10) -> ProbeReport:
     """Probe r(n) -> sqrt(l/m) for l residue classes mod m.
 
     Requires gcd(r_1, ..., r_l, m) = 1; otherwise the set has a common
@@ -190,7 +183,7 @@ def arithmetic_progression_probe(modulus, residues, grid, *, band=None,
     density = Fraction(len(spec.residues), spec.modulus)
     report = density_growth_probe(
         spec, grid, lower_density=density, upper_density=density,
-        band=band, rel_tol=rel_tol, table=table)
+        band=band, rel_tol=rel_tol)
     return replace(report, name="arithmetic-progression", meta={
         **report.meta,
         "probe_target": math.sqrt(density),

@@ -188,31 +188,21 @@ def _parse_int_opt(text, what, minimum):
 
 @dataclass(frozen=True)
 class CommandRequest:
-    """A parsed invocation in canonical form.
+    """A parsed invocation: the subcommand and a dict of the flags given.
 
-    Options are (flag, value-text) pairs sorted by flag; to_argv renders
-    an equivalent command line, so parse -> format -> parse is stable.
+    It is a class of its own so that parsing is one named step:
+    perfbench/spans.py wraps from_argv to time it as cli.parse_s.
     """
 
     command: str
-    options: tuple[tuple[str, str], ...]
+    options: dict[str, str]
 
     @classmethod
     def from_argv(cls, argv):
         ns = build_parser().parse_args(argv)
-        opts = []
-        for key, value in vars(ns).items():
-            if key == "command" or value is None:
-                continue
-            opts.append((key.replace("_", "-"), str(value)))
-        return cls(command=ns.command, options=tuple(sorted(opts)))
-
-    def to_argv(self):
-        out = [self.command]
-        for flag, value in self.options:
-            out.append(f"--{flag}")
-            out.append(value)
-        return out
+        return cls(command=ns.command, options={
+            key.replace("_", "-"): value for key, value in vars(ns).items()
+            if key != "command" and value is not None})
 
 
 def _emit(opts, obj, columns):
@@ -590,7 +580,7 @@ def run(request) -> int:
     handler = _HANDLERS.get(request.command)
     if handler is None:
         raise ValueError(f"unknown subcommand {request.command!r}")
-    return handler(dict(request.options))
+    return handler(request.options)
 
 
 def main(argv=None) -> int:

@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, islice
 
-from .partsets import (FileParts, FiniteParts, PartSetSpec, counting_function,
+from .partsets import (FiniteParts, PartSetSpec, counting_function,
                        iter_parts, primes_upto)
 from .reports import ProbeReport, default_band, judge_tail
 
@@ -313,7 +313,7 @@ def log_gf(spec, x, *, tail_tol=1e-9) -> float:
     if not 0.0 < x < 1.0:
         raise ValueError(f"x must lie in (0, 1), got {x}")
     t = -math.log1p(x - 1.0)
-    if isinstance(spec, (FiniteParts, FileParts)):
+    if isinstance(spec, FiniteParts):
         if tail_tol < 0:
             raise ValueError(f"tail_tol must be >= 0, got {tail_tol}")
         parts = spec.parts

@@ -1,11 +1,11 @@
 """Symbolic part sets: membership, counting functions, and density data.
 
 A part set is a set of positive integers given symbolically instead of by
-a materialized list: all positive integers, an explicit finite list, a
-union of residue classes mod m, a cofinite tail {n : n >= start}, the
-primes, or integers loaded from a file.  Everything downstream (partition
-tables, coefficient series, probes) consumes these descriptions through
-three primitives:
+a materialized list: all positive integers, an explicit finite list
+(written out or loaded from a file), a union of residue classes mod m, a
+cofinite tail {n : n >= start}, or the primes.  Everything downstream
+(partition tables, coefficient series, probes) consumes these
+descriptions through three primitives:
 
   * enumerate_parts(spec, bound)  -- the members in [1, bound], ascending
     (iter_parts gives the same members lazily, in no overall order)
@@ -54,15 +54,21 @@ class AllParts:
 
 @dataclass(frozen=True)
 class FiniteParts:
-    """An explicit finite list, strictly increasing, all parts >= 1."""
+    """An explicit finite list, strictly increasing, all parts >= 1.
+
+    A list read from a file keeps the path as source and prints as file:SOURCE.
+    """
 
     parts: tuple[int, ...]
+    source: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(int(a) for a in self.parts))
         _validate_increasing(self.parts, "finite part list")
 
     def __str__(self):
+        if self.source:
+            return f"file:{self.source}"
         return "finite:" + ",".join(str(a) for a in self.parts)
 
 
@@ -113,23 +119,7 @@ class PrimeParts:
         return "primes"
 
 
-@dataclass(frozen=True)
-class FileParts:
-    """Members loaded from a file; held sorted and deduplicated."""
-
-    parts: tuple[int, ...]
-    source: str = "<memory>"
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(int(a) for a in self.parts))
-        _validate_increasing(self.parts, "file part list")
-
-    def __str__(self):
-        return f"file:{self.source}"
-
-
-PartSetSpec = Union[AllParts, FiniteParts, ResidueParts, CofiniteTail,
-                    PrimeParts, FileParts]
+PartSetSpec = Union[AllParts, FiniteParts, ResidueParts, CofiniteTail, PrimeParts]
 
 
 def _validate_increasing(values, what):
@@ -142,7 +132,7 @@ def _validate_increasing(values, what):
             raise ValueError(f"{what} must be strictly increasing, got {a} before {b}")
 
 
-def load_part_file(path) -> FileParts:
+def load_part_file(path) -> FiniteParts:
     """Parse a part-set file: one decimal integer per line, blank lines ignored.
 
     Duplicates and non-positive entries are rejected with the offending
@@ -171,7 +161,7 @@ def load_part_file(path) -> FileParts:
         seen[value] = lineno
     if not seen:
         raise PartFileError(f"{path}: no parts found")
-    return FileParts(parts=tuple(sorted(seen)), source=str(path))
+    return FiniteParts(tuple(sorted(seen)), source=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +216,14 @@ def iter_parts(spec, bound):
 
     All parts, cofinite tails and each residue class come as lazy ranges;
     a residue set yields its classes one after another, so the members
-    are ascending within a class but not overall.  Finite and file sets
-    give a slice of their parts, primes the sieve's list.
+    are ascending within a class but not overall.  Finite sets give a
+    slice of their parts, primes the sieve's list.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     if isinstance(spec, AllParts):
         return range(1, bound + 1)
-    if isinstance(spec, (FiniteParts, FileParts)):
+    if isinstance(spec, FiniteParts):
         return spec.parts[:bisect_right(spec.parts, bound)]
     if isinstance(spec, ResidueParts):
         m = spec.modulus
@@ -259,7 +249,7 @@ def counting_function(spec, x) -> int:
         return 0
     if isinstance(spec, AllParts):
         return x
-    if isinstance(spec, (FiniteParts, FileParts)):
+    if isinstance(spec, FiniteParts):
         return bisect_right(spec.parts, x)
     if isinstance(spec, ResidueParts):
         m = spec.modulus
@@ -310,15 +300,16 @@ def gcd_of_set(spec, probe_bound) -> GcdResult:
 def normalize_by_gcd(spec, d) -> PartSetSpec:
     """Description of the set {a // d : a in A}; d must divide every member.
 
-    d == 1 returns the input unchanged.  Finite and file-backed sets divide
-    element-wise; residue classes divide to ResidueParts(m/d, r/d).  Other
+    d == 1 returns the input unchanged.  Finite sets divide element-wise
+    (a file's set loses its source); residue classes divide to
+    ResidueParts(m/d, r/d).  Other
     variants cannot express the scaled set for d > 1 and are rejected.
     """
     if d < 1:
         raise ValueError(f"divisor must be >= 1, got {d}")
     if d == 1:
         return spec
-    if isinstance(spec, (FiniteParts, FileParts)):
+    if isinstance(spec, FiniteParts):
         for a in spec.parts:
             if a % d:
                 raise ValueError(f"{d} does not divide part {a}")

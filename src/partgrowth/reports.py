@@ -69,10 +69,13 @@ def judge_tail(name, xs, values, lo, hi, meta) -> ProbeReport:
     """Judge the tail (last third of the grid, at least one sample).
 
     Band mode (lo is not None): every tail sample is defined and lies in
-    [lo, hi].  Decay mode (lo is None): every tail sample is defined and
-    positive, and the defined samples strictly decrease across the grid.
-    Undefined samples are None and never count toward tail_min/tail_max.
+    [lo, hi]; a band with hi < lo is refused.  Decay mode (lo is None):
+    every tail sample is defined and positive, and the defined samples
+    strictly decrease across the grid.  Undefined samples are None and
+    never count toward tail_min/tail_max.
     """
+    if lo is not None and not lo <= hi:
+        raise ValueError(f"band must have lo <= hi, got {lo}, {hi}")
     tail = values[-max(1, len(values) // 3):]
     direction = trend_direction([v for v in values if v is not None])
     if lo is not None:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from partgrowth.asymptotics import (C0, arithmetic_progression_probe,
                                     density_growth_probe,
@@ -135,17 +137,16 @@ def test_probe_rejects_common_divisor():
 
 def test_probe_band_pass_and_fail():
     spec = ResidueParts(2, (1,))
-    table = partition_table(spec, 1000)
     passing = density_growth_probe(
         spec, [200, 500, 1000], lower_density=Fraction(1, 2),
-        upper_density=Fraction(1, 2), band=(0.5, 0.8), table=table)
+        upper_density=Fraction(1, 2), band=(0.5, 0.8))
     assert passing.passed
     assert passing.direction == 1
     assert passing.meta["sqrt_lower_target"] == pytest.approx(math.sqrt(0.5))
 
     failing = density_growth_probe(
         spec, [200, 500, 1000], lower_density=Fraction(1, 2),
-        upper_density=Fraction(1, 2), band=(0.99, 1.0), table=table)
+        upper_density=Fraction(1, 2), band=(0.99, 1.0))
     assert not failing.passed
     assert failing.meta["band_origin"] == "user"
 
@@ -162,9 +163,8 @@ def test_probe_default_band_from_densities():
 
 def test_probe_zero_density_decay_mode():
     spec = PrimeParts()
-    table = partition_table(spec, 4000)
     report = density_growth_probe(spec, [2000, 3000, 4000],
-                                  lower_density=0, upper_density=0, table=table)
+                                  lower_density=0, upper_density=0)
     assert report.target_low is None
     assert report.direction == -1
     assert report.passed
@@ -172,7 +172,7 @@ def test_probe_zero_density_decay_mode():
 
     banded = density_growth_probe(spec, [2000, 3000, 4000],
                                   lower_density=0, upper_density=0,
-                                  band=(0.4, 0.5), table=table)
+                                  band=(0.4, 0.5))
     assert banded.passed and banded.meta["band_origin"] == "user"
 
 
@@ -183,10 +183,37 @@ def test_probe_input_validation():
         density_growth_probe(AllParts(), [10, 10], lower_density=1, upper_density=1)
     with pytest.raises(ValueError):
         density_growth_probe(AllParts(), [10], lower_density=1, upper_density=2)
-    with pytest.raises(ValueError, match="supplied table"):
-        density_growth_probe(ResidueParts(2, (1,)), [10, 50],
-                             lower_density=0, upper_density=1,
-                             table=partition_table(ResidueParts(2, (1,)), 20))
+    # compared exactly: float() of these would overflow
+    huge = Fraction(10) ** 400
+    with pytest.raises(ValueError, match="lower <= upper"):
+        density_growth_probe(AllParts(), [10], lower_density=huge,
+                             upper_density=huge)
+    with pytest.raises(ValueError, match="lower <= upper"):
+        density_growth_probe(AllParts(), [10], lower_density=0,
+                             upper_density=huge)
+
+
+def test_probe_rejects_inverted_band():
+    with pytest.raises(ValueError, match="lo <= hi"):
+        density_growth_probe(ResidueParts(2, (1,)), [10, 20],
+                             lower_density=Fraction(1, 2),
+                             upper_density=Fraction(1, 2), band=(0.8, 0.5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(densities=st.lists(st.floats(0, 1), min_size=2, max_size=2),
+       rel_tol=st.floats(0, 10))
+@example(densities=[0.0, 1.0], rel_tol=2.0)     # low end is -0.0
+def test_probe_default_band_formula(densities, rel_tol):
+    alpha, beta = sorted(densities)
+    assume(beta > 0)
+    report = density_growth_probe(AllParts(), [1, 2], lower_density=alpha,
+                                  upper_density=beta, rel_tol=rel_tol)
+    low = (1.0 - rel_tol) * math.sqrt(alpha)
+    high = min(1.0, (1.0 + rel_tol) * math.sqrt(beta))
+    # repr tells -0.0 from 0.0, which == does not
+    assert repr(report.target_low) == repr(low)
+    assert repr(report.target_high) == repr(high)
 
 
 def test_arithpro_probe_hypothesis_witness():

@@ -4,6 +4,10 @@ import csv
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -125,18 +129,17 @@ def test_parse_band():
             parse_band(text)
 
 
-# -- request round-trip -----------------------------------------------------
+# -- requests ---------------------------------------------------------------
 
-def test_request_round_trip():
-    for argv in (
-        ["table", "--set", "finite:1,2,3", "--limit", "6"],
-        ["ratio", "--set", "all", "--grid", "1", "--format", "json"],
+def test_request_options_are_the_given_flags():
+    request = CommandRequest.from_argv(
         ["direct-probe", "--set", "mod:2:1", "--grid", "100,200",
-         "--alpha", "1/2", "--beta", "1/2", "--band", "0.3,0.9"],
-        ["check-lemmas", "--set", "primes"],
-    ):
-        request = CommandRequest.from_argv(argv)
-        assert CommandRequest.from_argv(request.to_argv()) == request
+         "--alpha", "1/2", "--beta", "1/2"])
+    assert request.command == "direct-probe"
+    # defaults count as given; flags without a value or default are absent
+    assert request.options == {
+        "set": "mod:2:1", "grid": "100,200", "alpha": "1/2", "beta": "1/2",
+        "rel-tol": "0.10", "format": "json"}
 
 
 # -- subcommands ------------------------------------------------------------
@@ -414,6 +417,20 @@ def test_file_spec_through_cli(tmp_path, capsys):
     assert _csv_rows(out)[-1] == ["6", "7"]
 
 
+def test_file_spec_json_names_the_file(tmp_path, capsys):
+    path = tmp_path / "parts.txt"
+    path.write_text("3\n1\n2\n")
+    code, out, _ = _run("table", "--set", f"file:{path}", "--limit", "12",
+                        "--format", "json", capsys=capsys)
+    assert code == 0
+    from_file = json.loads(out)
+    assert from_file["set"] == f"file:{path}"
+    code, out, _ = _run("table", "--set", "finite:1,2,3", "--limit", "12",
+                        "--format", "json", capsys=capsys)
+    assert code == 0
+    assert from_file["counts"] == json.loads(out)["counts"]
+
+
 def test_file_spec_error_names_line(tmp_path, capsys):
     path = tmp_path / "parts.txt"
     path.write_text("1\nbogus\n")
@@ -468,6 +485,11 @@ def test_usage_errors_exit_2(capsys):
           "--rel-tol", "-3"], "rel_tol must be >= 0"),
         (["arithpro-probe", "--set", "mod:2:1", "--grid", "10,20",
           "--rel-tol", "-1"], "rel_tol must be >= 0"),
+        # float() of these densities would overflow
+        (["direct-probe", "--set", "all", "--grid", "10,20", "--alpha",
+          "1e400", "--beta", "1e400"], "lower <= upper"),
+        (["direct-probe", "--set", "all", "--grid", "10,20", "--alpha", "0",
+          "--beta", "1e400"], "lower <= upper"),
     ]:
         code, out, err = _run(*argv, capsys=capsys)
         assert code == 2, argv
@@ -478,3 +500,22 @@ def test_usage_errors_exit_2(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_module_entry_point_as_a_process():
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "partgrowth.cli", *args],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+
+    assert run("--help").returncode == 0
+    done = run("table", "--set", "finite:1,2,3", "--limit", "6")
+    assert done.returncode == 0
+    assert _csv_rows(done.stdout)[-1] == ["6", "7"]
+    done = run("table", "--set", "evens", "--limit", "6")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: ")

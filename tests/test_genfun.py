@@ -404,6 +404,11 @@ def test_abelian_probe_grid_validation():
         abelian_probe(AllParts(), 1, [0.5, 1.5])
 
 
+def test_abelian_probe_rejects_inverted_band():
+    with pytest.raises(ValueError, match="lo <= hi"):
+        abelian_probe(AllParts(), 1, [0.5, 0.9], band=(2.0, 1.0))
+
+
 def test_tauberian_probe_odd_parts():
     report = tauberian_probe(ResidueParts(2, (1,)),
                              abelian_density_target(Fraction(1, 2)),

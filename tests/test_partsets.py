@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from partgrowth import partsets
-from partgrowth.partsets import (AllParts, CofiniteTail, FileParts,
-                                 FiniteParts, PartFileError, PrimeParts,
-                                 ResidueParts, UnsupportedNormalizationError,
+from partgrowth.partsets import (AllParts, CofiniteTail, FiniteParts,
+                                 PartFileError, PrimeParts, ResidueParts,
+                                 UnsupportedNormalizationError,
                                  counting_function, density_profile,
                                  enumerate_parts, gcd_of_set, load_part_file,
                                  normalize_by_gcd, prime_count, primes_upto)
@@ -137,6 +137,7 @@ def test_cofinite_validation():
 def test_str_forms():
     assert str(AllParts()) == "all"
     assert str(FiniteParts((1, 2, 3))) == "finite:1,2,3"
+    assert str(FiniteParts((1, 2, 3), source="parts.txt")) == "file:parts.txt"
     assert str(ResidueParts(4, (1, 3))) == "mod:4:1,3"
     assert str(CofiniteTail(5)) == "cofinite:5"
     assert str(PrimeParts()) == "primes"
@@ -155,7 +156,7 @@ def test_gcd_examples():
 
 def test_gcd_unstable_prefix():
     # only 4 is visible below 5, but the full set has gcd 2
-    spec = FileParts((4, 6, 8), source="inline")
+    spec = FiniteParts((4, 6, 8), source="inline")
     value, stable = gcd_of_set(spec, 5)
     assert value == 4 and not stable
     value, stable = gcd_of_set(spec, 6)
@@ -169,6 +170,9 @@ def test_gcd_empty_prefix_rejected():
 
 def test_normalize_examples():
     assert normalize_by_gcd(FiniteParts((4, 6)), 2) == FiniteParts((2, 3))
+    # a file's set divides into a plain listed set
+    assert normalize_by_gcd(FiniteParts((4, 6), source="parts.txt"),
+                            2) == FiniteParts((2, 3))
     assert normalize_by_gcd(FiniteParts((3, 5)), 1) == FiniteParts((3, 5))
     assert normalize_by_gcd(ResidueParts(4, (2,)), 2) == ResidueParts(2, (1,))
 
@@ -188,7 +192,7 @@ def test_normalize_round_trip_enumeration():
     cases = [
         (FiniteParts((4, 6, 10)), 2),
         (ResidueParts(6, (2, 4)), 2),
-        (FileParts((3, 9, 21), source="inline"), 3),
+        (FiniteParts((3, 9, 21), source="inline"), 3),
     ]
     for spec, d in cases:
         scaled = normalize_by_gcd(spec, d)
@@ -203,7 +207,7 @@ def test_load_part_file(tmp_path):
     path = tmp_path / "parts.txt"
     path.write_text("3\n5\n\n7\n")
     spec = load_part_file(path)
-    assert spec.parts == (3, 5, 7)
+    assert spec == FiniteParts((3, 5, 7), source=str(path))
     assert enumerate_parts(spec, 6) == [3, 5]
 
 
