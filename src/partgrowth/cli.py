@@ -29,6 +29,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -168,9 +169,38 @@ def parse_band(text):
     return lo, hi
 
 
+#: Longest rational flag and largest decimal exponent accepted: Fraction()
+#: bounds neither, and 1e3000000 alone takes seconds to build.
+_RATIONAL_CHARS = 100
+_RATIONAL_EXPONENT = 1000
+_EXPONENT = re.compile(r"e([-+]?\d+)\s*$", re.IGNORECASE)
+
+
+class _FlagRational(Fraction):
+    """A rational flag value that prints as the text it was given, so a
+    range error shows the flag, not a value of a thousand digits."""
+
+    __slots__ = ("_text",)
+
+    def __new__(cls, text):
+        self = super().__new__(cls, text)
+        self._text = text
+        return self
+
+    def __str__(self):
+        return self._text
+
+
 def _parse_fraction(text, what):
+    if len(text) > _RATIONAL_CHARS:
+        raise ValueError(
+            f"{what}: rational longer than {_RATIONAL_CHARS} characters")
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent[1])) > _RATIONAL_EXPONENT:
+        raise ValueError(
+            f"{what}: exponent beyond +-{_RATIONAL_EXPONENT}: {text!r}")
     try:
-        return Fraction(text)
+        return _FlagRational(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{what}: not a rational: {text!r}") from None
 

@@ -28,7 +28,12 @@ D/k does.
 log_gf evaluates log F(x) in floating point for 0 < x < 1 with a proven
 truncation bound, streaming the parts of an infinite set instead of
 listing them, and the two probes compare (1-x) log F(x) and S(n)/n
-against their common limit pi^2 * density / 6.
+against their common limit pi^2 * density / 6.  tauberian_probe reads
+its grid points up to a cut M off one prefix walk of D*S(n) with
+D = lcm(1..M), and gives each point past M to the divisor sum.  The cut
+weighs the walk's M * bits(D) against c * isqrt(n) * bits(lcm(1..n))
+for each point it leaves to the divisor sum (_grid_cut); both routes
+are exact.
 """
 
 from __future__ import annotations
@@ -357,22 +362,70 @@ def abelian_probe(spec, density, x_grid, *, rel_tol=0.02, tail_tol=1e-9,
         "band_origin": "user" if band is not None else "target-default"})
 
 
+#: c of _grid_cut: one sums_via_counting digit step, in prefix-walk steps.
+_POINT_COST = 10
+
+
+def _grid_cut(grid) -> int:
+    """The cut M in {0} | grid below which tauberian_probe reads S(n) off
+    one prefix walk; 0 sends every point to sums_via_counting.
+
+    Cost model, with bits(lcm(1..n)) ~ n * log2(e) by the prime number
+    theorem (the common factor log2(e) is dropped):
+
+        walk to M:   M * bits(lcm(1..M))                ~ M * M
+        point n:     c * isqrt(n) * bits(lcm(1..n))     ~ c * isqrt(n) * n
+
+    and M minimises walk(M) + the sum of point(n) over n > M.  c = 10 was
+    measured on a 2-vCPU machine (Python 3.11) for mod:2:1 and the primes
+    at M, n = 2000..20000: the walk with a float at every n took
+    0.9-1.5 ns per M * bit, and sums_via_counting 6-14 ns per
+    isqrt(n) * bit.  Both routes are exact, so c moves only the time.
+    """
+    tail = 0
+    best, cut = _POINT_COST * sum(math.isqrt(n) * n for n in grid), 0
+    for m in reversed(grid):
+        cost = m * m + tail
+        if cost < best:
+            best, cut = cost, m
+        tail += _POINT_COST * math.isqrt(m) * m
+    return cut
+
+
 def tauberian_probe(spec, target_rate, n_grid, *, rel_tol=0.01) -> ProbeReport:
     """Sample S(n)/n on an n-grid against a claimed linear growth rate.
 
-    S(n) is computed exactly through the divisor-sum identity and the
-    ratio compared to target_rate (for density-d sets: pi^2 d / 6) with
-    relative slack rel_tol on the tail samples.  target_rate 0 (finite
-    sets: S(n) grows only logarithmically) reads rel_tol as an absolute
-    ceiling instead, band [0, rel_tol].
+    S(n) is exact.  The points up to the cut M = _grid_cut(grid) are read
+    off one walk of D*S(n) = sum_{l <= n} (D/l) * sigma_A(l), n = 1..M,
+    with D = lcm(1..M), keeping only the float x / (D*n) at each point;
+    the points past M each take sums_via_counting.  A dense grid costs
+    one O(M * bits(D)) walk instead of |grid| divisor sums, and a sparse
+    grid of large n skips the walk.  Both routes divide the same exact
+    rational once with correct rounding, so the floats agree bit for bit.
+
+    The ratio is compared to target_rate (for density-d sets:
+    pi^2 d / 6) with relative slack rel_tol on the tail samples.
+    target_rate 0 (finite sets: S(n) grows only logarithmically) reads
+    rel_tol as an absolute ceiling instead, band [0, rel_tol].
     """
-    grid = tuple(int(n) for n in n_grid)
-    if not grid or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
-        raise ValueError(f"n grid must be strictly increasing and >= 1: {grid}")
+    grid = tuple(n_grid)
+    if (not grid or not all(isinstance(n, int) for n in grid) or grid[0] < 1
+            or any(b <= a for a, b in zip(grid, grid[1:]))):
+        raise ValueError(
+            f"n grid must be strictly increasing ints >= 1: {grid}")
     target = float(target_rate)
-    if target < 0:
-        raise ValueError(f"target rate must be >= 0, got {target_rate}")
+    if not (math.isfinite(target) and target >= 0):
+        raise ValueError(
+            f"target rate must be finite and >= 0, got {target_rate}")
     lo, hi = default_band(target, rel_tol)
-    values = tuple(float(sums_via_counting(spec, n) / n) for n in grid)
-    return judge_tail("tauberian", grid, values, lo, hi,
+    cut = _grid_cut(grid)
+    values = []
+    if cut:
+        D = _lcm_upto(cut)
+        walk = _cleared_prefix(D, log_gf_coefficients(spec, cut).sigma)
+        dense = {n for n in grid if n <= cut}
+        values = [x / (D * n) for n, x in enumerate(walk) if n in dense]
+    values += [float(sums_via_counting(spec, n) / n)
+               for n in grid[len(values):]]
+    return judge_tail("tauberian", grid, tuple(values), lo, hi,
                       meta={"set": str(spec), "target": target})

@@ -490,6 +490,20 @@ def test_usage_errors_exit_2(capsys):
           "1e400", "--beta", "1e400"], "lower <= upper"),
         (["direct-probe", "--set", "all", "--grid", "10,20", "--alpha", "0",
           "--beta", "1e400"], "lower <= upper"),
+        # rationals are bounded before Fraction() builds them, and a range
+        # error prints the flag's text
+        (["genfun", "--set", "all", "--xs", "0.5", "--density", "1e5000"],
+         "exponent beyond"),
+        (["tauberian-probe", "--set", "all", "--grid", "10", "--density",
+          "1e5000"], "exponent beyond"),
+        (["direct-probe", "--set", "all", "--grid", "10,20", "--alpha", "0",
+          "--beta", "1e3000000"], "exponent beyond"),
+        (["genfun", "--set", "all", "--xs", "0.5", "--density", "1" * 101],
+         "longer than 100"),
+        (["genfun", "--set", "all", "--xs", "0.5", "--density", "1e999"],
+         "[0, 1], got 1e999"),
+        (["direct-probe", "--set", "all", "--grid", "10,20", "--alpha",
+          "1/2", "--beta", "1e-999"], "got 1/2, 1e-999"),
     ]:
         code, out, err = _run(*argv, capsys=capsys)
         assert code == 2, argv

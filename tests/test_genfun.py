@@ -9,6 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from partgrowth import genfun
+from partgrowth.cli import parse_grid
 from partgrowth.genfun import (CoefficientSeries, abelian_density_target,
                                abelian_probe, log_gf, log_gf_coefficients,
                                mobius_invert_sums, mobius_sieve,
@@ -436,3 +438,40 @@ def test_tauberian_probe_validation():
         tauberian_probe(AllParts(), -1, [100])
     with pytest.raises(ValueError):
         tauberian_probe(AllParts(), 1, [100, 50])
+    with pytest.raises(ValueError, match="ints"):
+        tauberian_probe(AllParts(), 1.0, [2.5, 3.9])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            tauberian_probe(AllParts(), bad, [100])
+
+
+def _runs_and_points(runs, points):
+    return tuple(sorted(set().union(*runs, points)))
+
+
+# dense runs of consecutive n mixed with a few sparse large points
+GRIDS = st.builds(
+    _runs_and_points,
+    st.lists(st.tuples(st.integers(1, 400), st.integers(1, 300)).map(
+        lambda run: range(run[0], run[0] + run[1])), max_size=3),
+    st.lists(st.integers(1, 6000), max_size=4),
+).filter(bool)
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=PART_SETS, grid=GRIDS)
+@example(spec=ResidueParts(2, (1,)), grid=tuple(range(1, 301)) + (5000,))
+@example(spec=PrimeParts(), grid=(3000, 5000, 6000))
+def test_tauberian_grid_matches_pointwise_divisor_sums(spec, grid):
+    report = tauberian_probe(spec, 1.0, grid)
+    assert report.values == tuple(
+        float(sums_via_counting(spec, n) / n) for n in grid)
+
+
+def test_grid_cut_is_estimate_only(monkeypatch):
+    for name in ("_lcm_upto", "log_gf_coefficients", "sums_via_counting"):
+        monkeypatch.setattr(genfun, name, None)     # any call would fail
+    assert genfun._grid_cut(parse_grid("geo:1:2000:1.0001")) == 2000
+    assert genfun._grid_cut((10000, 50000, 100000)) == 0
+    assert genfun._grid_cut(tuple(range(1, 2001)) + (100000,)) == 2000
+    assert genfun._grid_cut((1,)) == 1

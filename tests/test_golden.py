@@ -63,6 +63,9 @@ _CASES = [
     ("tauberian-probe-zero", ["tauberian-probe", "--set", "finite:1,2",
                               "--grid", "50,100", "--target", "0",
                               "--rel-tol", "0.2"]),
+    ("tauberian-probe-dense", ["tauberian-probe", "--set", "mod:2:1",
+                               "--grid", "geo:1:300:1.0001", "--density",
+                               "1/2"]),
 ]
 
 CASES = [(f"{name}.{fmt}", argv + ["--format", fmt])
