@@ -63,7 +63,9 @@ def growth_ratio(count, n) -> Optional[float]:
 
 def growth_ratio_series(table, grid) -> GrowthSeries:
     """Sample growth_ratio at the grid points, reading counts from `table`."""
-    grid = tuple(int(n) for n in grid)
+    grid = tuple(grid)
+    if not all(isinstance(n, int) for n in grid):
+        raise ValueError(f"grid points must be ints: {grid}")
     for n in grid:
         if not 1 <= n <= table.limit:
             raise ValueError(f"grid point {n} outside table range [1, {table.limit}]")
@@ -126,9 +128,11 @@ def density_growth_probe(spec, grid, *, lower_density, upper_density,
     from its symbolic form; the parts up to the grid's end may share a
     larger divisor (finite:2,3 on the grid 1,2 sees only the part 2).
     """
-    grid = tuple(int(n) for n in grid)
-    if not grid or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
-        raise ValueError(f"grid must be strictly increasing and >= 1: {grid}")
+    grid = tuple(grid)
+    if (not grid or not all(isinstance(n, int) for n in grid) or grid[0] < 1
+            or any(b <= a for a, b in zip(grid, grid[1:]))):
+        raise ValueError(
+            f"grid must be strictly increasing ints >= 1: {grid}")
     # compared exactly first: float() of a huge rational overflows
     if not 0 <= lower_density <= upper_density <= 1:
         raise ValueError(

@@ -39,10 +39,12 @@ are exact.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice, repeat
+from operator import mul, neg
 
 from .partsets import (FiniteParts, PartSetSpec, counting_function,
                        iter_parts, primes_upto)
@@ -280,11 +282,14 @@ def mobius_invert_sums(series, n) -> int:
 _LOG2 = math.log(2.0)
 
 
-def _neg_log_one_minus_exp(w) -> float:
-    """-log(1 - e^(-w)) for w > 0, accurate in both regimes."""
-    if w > _LOG2:
-        return -math.log1p(-math.exp(-w))
-    return -math.log(-math.expm1(-w))
+def _neg_log(x) -> float:
+    """t = -log x for 0 < x < 1, accurate near x = 1.
+
+    -log1p(x - 1) wherever x - 1 does not round to -1, -log(x) for the
+    x <= 2**-54 where it does (log1p(-1) is a domain error).
+    """
+    d = x - 1.0
+    return -math.log1p(d) if d > -1.0 else -math.log(x)
 
 
 def _tail_cutoff(x, tail_tol) -> int:
@@ -294,7 +299,7 @@ def _tail_cutoff(x, tail_tol) -> int:
     geometric tail past C sums to x^(C+1) / (1-x), giving the bound.
     Comparisons run in log space so nothing underflows.
     """
-    t = -math.log1p(x - 1.0)          # -log x, accurate near x = 1
+    t = _neg_log(x)
     log_rhs = math.log(tail_tol) + 2.0 * math.log1p(-x)
     c = max(0, math.ceil(-log_rhs / t) - 1)
     while -(c + 1) * t > log_rhs:     # float-guard: enlarge until bound holds
@@ -304,31 +309,52 @@ def _tail_cutoff(x, tail_tol) -> int:
     return c
 
 
+def _small_part_end(t) -> int:
+    """k, the last a >= 0 with a * t <= log 2, by the float comparison
+    that picks each term's branch in log_gf."""
+    k = int(_LOG2 / t)
+    while k * t > _LOG2:
+        k -= 1
+    while (k + 1) * t <= _LOG2:
+        k += 1
+    return k
+
+
 def log_gf(spec, x, *, tail_tol=1e-9) -> float:
     """log F(x) = sum_{a in A} -log(1 - x^a) for 0 < x < 1.
 
     Finite sets are summed in full (tail_tol may be 0).  Infinite sets
     are truncated at _tail_cutoff(x, tail_tol), so the result is within
     tail_tol of the true value before rounding, and their parts are
-    streamed from iter_parts, never listed; terms are evaluated with
-    expm1/log1p branches and accumulated with math.fsum, keeping the
-    rounding error near one ulp.
+    streamed from iter_parts, never listed.  With w = a * t, t = -log x,
+    a term is -log(-expm1(-w)) for the parts a <= k = _small_part_end(t)
+    (w <= log 2) and -log1p(-exp(-w)) past k, so each stays accurate.
+    Both runs are chained C-level maps into one math.fsum, with no
+    Python call per term: a * (-t) is -(a * t) bit for bit, and fsum is
+    correctly rounded, so neither the order of the parts nor summing
+    the negated terms can change a bit.  0.0 - sum keeps an empty sum
+    at +0.0.
     """
     x = float(x)
     if not 0.0 < x < 1.0:
         raise ValueError(f"x must lie in (0, 1), got {x}")
-    t = -math.log1p(x - 1.0)
+    t = _neg_log(x)
+    k = _small_part_end(t)
     if isinstance(spec, FiniteParts):
         if tail_tol < 0:
             raise ValueError(f"tail_tol must be >= 0, got {tail_tol}")
-        parts = spec.parts
+        split = bisect_right(spec.parts, k)
+        small, big = spec.parts[:split], spec.parts[split:]
     else:
         if tail_tol <= 0:
             raise ValueError(
                 f"tail_tol must be > 0 for an infinite set, got {tail_tol}")
         cutoff = _tail_cutoff(x, tail_tol)
-        parts = iter_parts(spec, cutoff) if cutoff else ()
-    return math.fsum(_neg_log_one_minus_exp(a * t) for a in parts)
+        small = iter_parts(spec, min(k, cutoff)) if k and cutoff else ()
+        big = iter_parts(spec, cutoff, k + 1) if cutoff else ()
+    return 0.0 - math.fsum(chain(
+        map(math.log, map(neg, map(math.expm1, map(mul, small, repeat(-t))))),
+        map(math.log1p, map(neg, map(math.exp, map(mul, big, repeat(-t)))))))
 
 
 # ---------------------------------------------------------------------------

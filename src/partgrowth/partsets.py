@@ -8,7 +8,8 @@ cofinite tail {n : n >= start}, or the primes.  Everything downstream
 descriptions through three primitives:
 
   * enumerate_parts(spec, bound)  -- the members in [1, bound], ascending
-    (iter_parts gives the same members lazily, in no overall order)
+    (iter_parts(spec, bound, start) gives the members in [start, bound]
+    lazily, in no overall order)
   * counting_function(spec, x)    -- how many members lie in [1, x]
   * gcd_of_set / normalize_by_gcd -- common-divisor bookkeeping, since a
     set with gcd d > 1 only partitions multiples of d and is handled by
@@ -18,17 +19,21 @@ Density diagnostics sample the counting function on a user grid and keep
 the ratios as exact rationals; no limits are ever computed, only finite
 prefix data with suffix min/max summaries.
 
-All spec types are immutable; operations are pure functions (the prime
-sieve cache grows monotonically behind the scenes and is safe to share).
+All spec types are immutable; operations are pure functions.  The one
+cache is the prime sieve: a bytearray of prime flags plus the prime
+count of each fixed block of flags, grown by doubling and swapped in as
+one pair, so it is safe to share.  Nothing lists the primes unless
+asked to: prime_count adds the block counts to at most one block of
+flags counted in C, and iter_parts streams the primes off the flags.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import accumulate, chain, compress
 from typing import NamedTuple, Union
 
 
@@ -168,71 +173,93 @@ def load_part_file(path) -> FiniteParts:
 # Prime sieve with a grow-only cache
 # ---------------------------------------------------------------------------
 
-_prime_cache: list[int] = []
-_prime_limit = 0
+#: Flags per block of the prime-count table: prime_count reads fewer.
+_BLOCK = 1 << 12
+
+#: (flags, blocks): flags[n] == 1 exactly when n is prime, for n < len(flags),
+#: and blocks[j] is the number of primes below j * _BLOCK.
+_prime_sieve = (bytearray(), [0])
 
 
 def _ensure_sieved(bound):
     """Sieve to at least bound; a growing bound doubles the limit, so a
     rising run of queries re-sieves O(log) times.
+
+    The evens start zeroed and each odd prime p strikes its odd multiples
+    from p*p on with stride 2p.
     """
-    global _prime_cache, _prime_limit
-    if bound <= _prime_limit:
+    global _prime_sieve
+    if bound < len(_prime_sieve[0]):
         return
-    limit = max(bound, 2 * _prime_limit, 1 << 10)
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
+    limit = max(bound, 2 * len(_prime_sieve[0]) - 2, 1 << 10)
+    flags = bytearray(b"\0\1") * (limit // 2 + 1)
+    del flags[limit + 1:]
+    flags[1], flags[2] = 0, 1
+    for p in range(3, math.isqrt(limit) + 1, 2):
         if flags[p]:
-            step = len(range(p * p, limit + 1, p))
-            flags[p * p::p] = bytes(step)
+            flags[p * p::2 * p] = bytes(len(range(p * p, limit + 1, 2 * p)))
+    blocks = list(accumulate(
+        (flags.count(1, end - _BLOCK, end)
+         for end in range(_BLOCK, limit + _BLOCK + 1, _BLOCK)), initial=0))
     # swap in one assignment so concurrent readers always see a full table
-    _prime_cache = list(compress(range(limit + 1), flags))
-    _prime_limit = limit
+    _prime_sieve = flags, blocks
 
 
 def primes_upto(bound) -> list[int]:
     """All primes <= bound, ascending."""
     if bound < 2:
         return []
-    _ensure_sieved(bound)
-    return _prime_cache[:bisect_right(_prime_cache, bound)]
+    return list(iter_parts(PrimeParts(), bound))
 
 
 def prime_count(x) -> int:
-    """Number of primes <= x."""
+    """Number of primes <= x: whole blocks from the table, then at most
+    _BLOCK flags counted in C."""
     if x < 2:
         return 0
     _ensure_sieved(x)
-    return bisect_right(_prime_cache, x)
+    flags, blocks = _prime_sieve
+    j = x // _BLOCK
+    return blocks[j] + flags.count(1, j * _BLOCK, x + 1)
 
 
 # ---------------------------------------------------------------------------
 # Core operations
 # ---------------------------------------------------------------------------
 
-def iter_parts(spec, bound):
-    """Members of the set in [1, bound], without listing them where possible.
+def iter_parts(spec, bound, start=1):
+    """Members of the set in [start, bound], without listing them where
+    possible.
 
     All parts, cofinite tails and each residue class come as lazy ranges;
     a residue set yields its classes one after another, so the members
     are ascending within a class but not overall.  Finite sets give a
-    slice of their parts, primes the sieve's list.
+    slice of their parts, primes a stream off the sieve's flags.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
+    if start < 1:
+        raise ValueError(f"start must be >= 1, got {start}")
     if isinstance(spec, AllParts):
-        return range(1, bound + 1)
+        return range(start, bound + 1)
     if isinstance(spec, FiniteParts):
-        return spec.parts[:bisect_right(spec.parts, bound)]
+        parts = spec.parts
+        return parts[bisect_left(parts, start):bisect_right(parts, bound)]
     if isinstance(spec, ResidueParts):
         m = spec.modulus
+        # start + (r - start) % m is the first member of class r >= start
         return chain.from_iterable(
-            range(r, bound + 1, m) for r in spec.residues)
+            range(start + (r - start) % m, bound + 1, m)
+            for r in spec.residues)
     if isinstance(spec, CofiniteTail):
-        return range(spec.start, bound + 1)
+        return range(max(start, spec.start), bound + 1)
     if isinstance(spec, PrimeParts):
-        return primes_upto(bound)
+        # ascending; only the odd flags are read, which halves the scan
+        _ensure_sieved(bound)
+        odd = start | 1
+        odds = compress(range(odd, bound + 1, 2),
+                        memoryview(_prime_sieve[0])[odd:bound + 1:2])
+        return chain((2,), odds) if start <= 2 <= bound else odds
     raise TypeError(f"not a part-set spec: {spec!r}")
 
 
@@ -348,7 +375,9 @@ class DensityProfile:
 
 def density_profile(spec, grid) -> DensityProfile:
     """Sample A(x)/x exactly on a strictly increasing grid of integers."""
-    grid = tuple(int(x) for x in grid)
+    grid = tuple(grid)
+    if not all(isinstance(x, int) for x in grid):
+        raise ValueError(f"density grid must hold ints: {grid}")
     _validate_increasing(grid, "density grid")
     # largest point first: the prime sieve then runs once, to the grid's
     # end, instead of doubling past it

@@ -75,6 +75,10 @@ def test_series_grid_validation():
         growth_ratio_series(table, [5, 11])
     with pytest.raises(ValueError):
         growth_ratio_series(table, [0, 5])
+    # int() would read the truncated points 5 and 6 without a word
+    for grid in ([5.5, 6.9], [5, 6.0], [Fraction(11, 2)]):
+        with pytest.raises(ValueError, match="ints"):
+            growth_ratio_series(table, grid)
 
 
 def test_unrestricted_ratios_below_one_and_rising():
@@ -183,6 +187,11 @@ def test_probe_input_validation():
         density_growth_probe(AllParts(), [10, 10], lower_density=1, upper_density=1)
     with pytest.raises(ValueError):
         density_growth_probe(AllParts(), [10], lower_density=1, upper_density=2)
+    # int() would probe the truncated points 20 and 30 without a word
+    for grid in ([20.5, 30.9], [10, 20.0], [Fraction(21, 2)]):
+        with pytest.raises(ValueError, match="ints"):
+            density_growth_probe(AllParts(), grid, lower_density=1,
+                                 upper_density=1)
     # compared exactly: float() of these would overflow
     huge = Fraction(10) ** 400
     with pytest.raises(ValueError, match="lower <= upper"):

@@ -363,6 +363,21 @@ def test_genfun_probe_mode(capsys):
     assert obj["target"] == pytest.approx(math.pi ** 2 / 12)
 
 
+@pytest.mark.parametrize("spec,xs", [("all", "1e-300"),
+                                     ("finite:1,2", "1e-17"),
+                                     ("primes", "5e-324,2e-16,0.5")])
+def test_genfun_takes_x_where_x_minus_one_rounds_to_minus_one(capsys, spec,
+                                                              xs):
+    code, out, _ = _run("genfun", "--set", spec, "--xs", xs, "--format",
+                        "json", capsys=capsys)
+    assert code == 0
+    obj = json.loads(out)
+    assert all(math.isfinite(v) and v >= 0 for v in obj["log_f"])
+    if spec.startswith("finite"):
+        # -log(1 - x) - log(1 - x^2) = x + O(x^2)
+        assert obj["log_f"][0] == pytest.approx(1e-17, rel=1e-13)
+
+
 def test_genfun_band_needs_density(capsys):
     code, _, err = _run("genfun", "--set", "all", "--xs", "0.5", "--band",
                         "0,1", capsys=capsys)

@@ -9,14 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from partgrowth import genfun
+from partgrowth import genfun, partsets
 from partgrowth.cli import parse_grid
 from partgrowth.genfun import (CoefficientSeries, abelian_density_target,
                                abelian_probe, log_gf, log_gf_coefficients,
                                mobius_invert_sums, mobius_sieve,
                                sums_via_counting, tauberian_probe,
-                               _harmonic_run, _lcm_upto,
-                               _neg_log_one_minus_exp, _tail_cutoff)
+                               _harmonic_run, _lcm_upto, _neg_log,
+                               _small_part_end, _tail_cutoff)
 from partgrowth.partsets import (AllParts, CofiniteTail, FiniteParts,
                                  PrimeParts, ResidueParts, counting_function,
                                  enumerate_parts)
@@ -327,15 +327,65 @@ INFINITE_SETS = [AllParts(), ResidueParts(2, (1,)), ResidueParts(4, (1, 3)),
                  ResidueParts(5, (2, 5)), CofiniteTail(2), PrimeParts()]
 
 
+def _scalar_log_gf(parts, x):
+    """fsum of -log(1 - x^a), one Python call per listed part: each term
+    takes its own branch at w = a*t <= log 2, with t = -log x."""
+    t = -math.log1p(x - 1.0) if x - 1.0 > -1.0 else -math.log(x)
+
+    def term(w):
+        if w > math.log(2.0):
+            return -math.log1p(-math.exp(-w))
+        return -math.log(-math.expm1(-w))
+    return math.fsum(term(a * t) for a in parts)
+
+
 @pytest.mark.parametrize("spec", INFINITE_SETS, ids=str)
 @pytest.mark.parametrize("x", [0.5, 1 - 2.0 ** -10, 1 - 2.0 ** -14])
 def test_streamed_log_gf_equals_fsum_over_listed_parts(spec, x):
     # fsum is correctly rounded, so the order of the streamed parts
     # (class by class for residue sets) cannot change a single bit
-    t = -math.log1p(x - 1.0)
     parts = enumerate_parts(spec, _tail_cutoff(x, 1e-9))
-    listed = math.fsum(_neg_log_one_minus_exp(a * t) for a in parts)
-    assert log_gf(spec, x, tail_tol=1e-9) == listed
+    assert log_gf(spec, x, tail_tol=1e-9) == _scalar_log_gf(parts, x)
+
+
+def _straddle(a, ulps):
+    """x a few ulps from exp(-log 2 / a), where a * t crosses log 2."""
+    x = math.exp(-math.log(2.0) / a)
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, 1.0 if ulps > 0 else 0.0)
+    return x
+
+
+XS = st.one_of(
+    st.floats(0.001, 12.0).map(lambda e: 1.0 - 2.0 ** -e),
+    st.tuples(st.integers(1, 4000), st.integers(-3, 3)).map(
+        lambda pair: _straddle(*pair)),
+    st.floats(5e-324, 2.0 ** -50),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=PART_SETS, x=XS, tail_tol=st.sampled_from([1e-6, 1e-9, 1e-12]))
+@example(spec=AllParts(), x=2.0 ** -54, tail_tol=1e-9)
+@example(spec=FiniteParts((1, 2)), x=1e-17, tail_tol=1e-9)
+@example(spec=ResidueParts(3, (1, 2)), x=_straddle(2, 0), tail_tol=1e-9)
+def test_log_gf_bits_match_the_scalar_reference(spec, x, tail_tol):
+    if isinstance(spec, FiniteParts):
+        parts = spec.parts
+    else:
+        cutoff = _tail_cutoff(x, tail_tol)
+        parts = enumerate_parts(spec, cutoff) if cutoff else []
+    got = log_gf(spec, x, tail_tol=tail_tol)
+    assert got.hex() == _scalar_log_gf(parts, x).hex()
+
+
+# at 0.9999882796226145, int(log 2 / t) is 59139 but 59140 * t <= log 2
+@pytest.mark.parametrize("x", [0.5, 0.75, 0.9999882796226145,
+                               1 - 2.0 ** -30, 1e-300])
+def test_small_part_end_is_the_branch_boundary(x):
+    t = _neg_log(x)
+    k = _small_part_end(t)
+    assert k * t <= math.log(2.0) < (k + 1) * t
 
 
 def test_log_gf_does_not_list_the_parts():
@@ -347,6 +397,19 @@ def test_log_gf_does_not_list_the_parts():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_log_gf_on_the_primes_holds_only_the_sieve_flags(monkeypatch):
+    x = 1 - 2.0 ** -12                 # sieves to the cutoff, 153000
+    monkeypatch.setattr(partsets, "_prime_sieve", (bytearray(), [0]))
+    tracemalloc.start()
+    try:
+        log_gf(PrimeParts(), x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one flag byte per integer; a list of its 14000 primes alone is more
+    assert peak < 400_000
 
 
 def test_log_gf_with_no_part_below_the_cutoff():

@@ -1,17 +1,22 @@
 """Part-set specs: enumeration, counting, gcd bookkeeping, density data."""
 
 import math
+import tracemalloc
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partgrowth import partsets
 from partgrowth.partsets import (AllParts, CofiniteTail, FiniteParts,
                                  PartFileError, PrimeParts, ResidueParts,
                                  UnsupportedNormalizationError,
                                  counting_function, density_profile,
-                                 enumerate_parts, gcd_of_set, load_part_file,
-                                 normalize_by_gcd, prime_count, primes_upto)
+                                 enumerate_parts, gcd_of_set, iter_parts,
+                                 load_part_file, normalize_by_gcd,
+                                 prime_count, primes_upto)
 
 FAMILY = [
     AllParts(),
@@ -66,6 +71,32 @@ def test_enumerate_residue_multiclass_sorted():
 def test_enumerate_bound_validation():
     with pytest.raises(ValueError):
         enumerate_parts(AllParts(), 0)
+
+
+SPECS = st.one_of(
+    st.sampled_from(FAMILY),
+    st.integers(1, 40).map(CofiniteTail),
+    st.lists(st.integers(1, 600), min_size=1, max_size=8, unique=True).map(
+        lambda ps: FiniteParts(tuple(sorted(ps)))),
+    st.integers(1, 12).flatmap(lambda m: st.lists(
+        st.integers(1, m), min_size=1, max_size=m, unique=True).map(
+        lambda rs: ResidueParts(m, tuple(sorted(rs))))),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=SPECS, bound=st.integers(1, 600), start=st.integers(1, 650))
+def test_iter_parts_from_start_is_the_filtered_enumeration(spec, bound, start):
+    got = list(iter_parts(spec, bound, start))
+    want = [a for a in enumerate_parts(spec, bound) if a >= start]
+    assert sorted(got) == want
+    if isinstance(spec, PrimeParts):
+        assert got == sorted(got)
+
+
+def test_iter_parts_start_validation():
+    with pytest.raises(ValueError, match="start"):
+        iter_parts(AllParts(), 10, 0)
 
 
 # -- counting function ------------------------------------------------------
@@ -282,6 +313,10 @@ def test_density_profile_grid_validation():
         density_profile(AllParts(), [10, 10])
     with pytest.raises(ValueError):
         density_profile(AllParts(), [0, 5])
+    # int() would probe the truncated points 20 and 30 without a word
+    for grid in ([20.5, 30.9], [10, 20.0], [Fraction(21, 2)]):
+        with pytest.raises(ValueError, match="ints"):
+            density_profile(AllParts(), grid)
 
 
 # -- prime cache ------------------------------------------------------------
@@ -302,6 +337,23 @@ def test_prime_count_values():
 def test_prime_cache_grows_then_serves_small_queries():
     big = primes_upto(2000)
     assert primes_upto(30) == [p for p in big if p <= 30]
+
+
+def test_prime_flags_agree_with_trial_division_across_doublings(monkeypatch):
+    monkeypatch.setattr(partsets, "_prime_sieve", (bytearray(), [0]))
+    oracle = _trial_division_primes(16384)
+    limits = []
+    # each bound past the limit doubles it: 1024, 2048, 4096, 8192, 16384
+    for bound in (1000, 1024, 1025, 2047, 2049, 4100, 8191, 8193, 9000):
+        assert primes_upto(bound) == [p for p in oracle if p <= bound]
+        limits.append(len(partsets._prime_sieve[0]) - 1)
+        for x in range(bound - 40, bound + 1):
+            assert prime_count(x) == bisect_right(oracle, x), x
+    assert limits == [1024, 1024, 2048, 2048, 4096, 8192, 8192, 16384, 16384]
+    # every x, across the block boundaries of the count table
+    assert ([prime_count(x) for x in range(16385)]
+            == [bisect_right(oracle, x) for x in range(16385)])
+    assert prime_count(1) == prime_count(0) == prime_count(-5) == 0
 
 
 def _sieve_counts(grid):
@@ -325,10 +377,22 @@ def _sieve_counts(grid):
     [1000, 2000, 4000, 8000, 16000, 32000, 64000, 100_000],
 ])
 def test_density_profile_sieves_once_to_the_grid_end(monkeypatch, grid):
-    monkeypatch.setattr(partsets, "_prime_cache", [])
-    monkeypatch.setattr(partsets, "_prime_limit", 0)
+    monkeypatch.setattr(partsets, "_prime_sieve", (bytearray(), [0]))
     profile = density_profile(PrimeParts(), grid)
     # a rising grid would double the sieve limit past its end (131072 here)
-    assert partsets._prime_limit == max(grid[-1], 1024)
+    assert len(partsets._prime_sieve[0]) == max(grid[-1], 1024) + 1
     assert profile.ratios == tuple(
         Fraction(c, x) for c, x in zip(_sieve_counts(grid), grid))
+
+
+def test_density_profile_of_the_primes_holds_only_the_flags(monkeypatch):
+    monkeypatch.setattr(partsets, "_prime_sieve", (bytearray(), [0]))
+    tracemalloc.start()
+    try:
+        profile = density_profile(PrimeParts(), [10 ** 6])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert profile.ratios == (Fraction(78498, 10 ** 6),)
+    # one flag byte per integer; a list of the 78498 primes adds 3 MB
+    assert peak < 1_500_000
