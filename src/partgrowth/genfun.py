@@ -28,12 +28,15 @@ D/k does.
 log_gf evaluates log F(x) in floating point for 0 < x < 1 with a proven
 truncation bound, streaming the parts of an infinite set instead of
 listing them, and the two probes compare (1-x) log F(x) and S(n)/n
-against their common limit pi^2 * density / 6.  tauberian_probe reads
-its grid points up to a cut M off one prefix walk of D*S(n) with
-D = lcm(1..M), and gives each point past M to the divisor sum.  The cut
-weighs the walk's M * bits(D) against c * isqrt(n) * bits(lcm(1..n))
-for each point it leaves to the divisor sum (_grid_cut); both routes
-are exact.
+against their common limit pi^2 * density / 6.  tauberian_probe needs
+only the float S(n)/n.  It reads its grid points up to a cut M off one
+exact prefix walk of D*S(n) with D = lcm(1..M), and takes each point
+past M from a fixed-point enclosure T <= 2**P * S(n) <= T + E of the
+same divisor sum (_enclosed_mean): when both ends round to one float,
+that float is S(n)/n correctly rounded, and otherwise the exact divisor
+sum decides.  The cut weighs the walk's M * bits(D) against c * n for
+each point it leaves to the enclosure (_grid_cut); the floats are the
+same either way.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, islice, repeat
-from operator import mul, neg
+from operator import floordiv, mul, neg
 
 from .partsets import (FiniteParts, PartSetSpec, counting_function,
                        iter_parts, primes_upto)
@@ -201,6 +204,17 @@ def _harmonic_run(D, a, b) -> int:
     return total
 
 
+def _blocks_past_root(n):
+    """(v, k1, k2) for each maximal run k1..k2 of k > isqrt(n) on which
+    n // k = v; every v is <= isqrt(n)."""
+    k = math.isqrt(n) + 1
+    while k <= n:
+        v = n // k
+        k2 = n // v
+        yield v, k, k2
+        k = k2 + 1
+
+
 def sums_via_counting(spec, n) -> Fraction:
     """S(n) evaluated through the divisor-sum identity, exactly.
 
@@ -227,14 +241,10 @@ def sums_via_counting(spec, n) -> Fraction:
     head = sum(counting_function(spec, n // k) * (L // k)
                for k in range(1, r + 1))
     total = head * (D // L)
-    k = r + 1
-    while k <= n:
-        v = n // k
-        k2 = n // v
+    for v, k1, k2 in _blocks_past_root(n):
         count = counting_function(spec, v)
         if count:
-            total += count * _harmonic_run(D, k, k2)
-        k = k2 + 1
+            total += count * _harmonic_run(D, k1, k2)
     return Fraction(total, D)
 
 
@@ -263,12 +273,8 @@ def mobius_invert_sums(series, n) -> int:
     for k in range(1, r + 1):
         if mu_l[k]:
             total += scaled[n // k] * mu_l[k]
-    k = r + 1
-    while k <= n:
-        v = n // k
-        k2 = n // v
-        total += l_sums[v] * (weighted[k2] - weighted[k - 1])
-        k = k2 + 1
+    for v, k1, k2 in _blocks_past_root(n):
+        total += l_sums[v] * (weighted[k2] - weighted[k1 - 1])
     count, rem = divmod(total, D * L)
     if rem:
         raise ArithmeticError(f"inversion at n={n} is not an integer")
@@ -388,46 +394,99 @@ def abelian_probe(spec, density, x_grid, *, rel_tol=0.02, tail_tol=1e-9,
         "band_origin": "user" if band is not None else "target-default"})
 
 
-#: c of _grid_cut: one sums_via_counting digit step, in prefix-walk steps.
-_POINT_COST = 10
+#: Bits of the enclosure's fixed point past 64 + 2 * bits(n).
+_GUARD_BITS = 40
+
+
+def _enclosed_mean(spec, n) -> float:
+    """float(S(n) / n) from a fixed-point enclosure of S(n).
+
+    With one = 2**P, P = 64 + 2 * bits(n) + _GUARD_BITS, the divisor sum
+    of sums_via_counting, split at r = isqrt(n), is taken in fixed point:
+
+        T = sum_{k <= r} A(n // k) * (one // k)
+          + sum over blocks [k1, k2] of k > r with v = n // k <= r
+                of A(v) * (one // k1 + ... + one // k2),
+
+    and E is the sum of A(.) over every floor taken.  Each floor one // k
+    lies in (one/k - 1, one/k], so T <= one * S(n) <= T + E.  Rounding to
+    nearest is monotone and int / int rounds correctly, so when
+    T / (one*n) and (T + E) / (one*n) round to the same float, S(n)/n
+    rounds to it too: it is float(sums_via_counting(spec, n) / n) bit for
+    bit.  Otherwise that exact route decides.  (This is Ziv's rounding
+    test: Ziv, ACM TOMS 17, 1991.)
+
+    S(n) = 0 makes every count 0, so T = E = 0 and the float is 0.0
+    exactly (blocks with A(v) = 0 are skipped only to save time).
+    S(n) > 0 means A(n) >= 1, so S(n) >= 1 while E <= n * A(n) <
+    4**bits(n): the enclosure is narrower than 2**-(64 + _GUARD_BITS) *
+    S(n), and only a value that close to a rounding boundary falls back.
+    The work is about n floors of a P-bit int by a small one, in C-level
+    sums, and O(isqrt(n)) counting_function calls.
+    """
+    one = 1 << (64 + 2 * n.bit_length() + _GUARD_BITS)
+    total = error = 0
+    for k in range(1, math.isqrt(n) + 1):
+        count = counting_function(spec, n // k)
+        total += count * (one // k)
+        error += count
+    for v, k1, k2 in _blocks_past_root(n):
+        count = counting_function(spec, v)
+        if count:
+            total += count * sum(map(floordiv, repeat(one, k2 - k1 + 1),
+                                     range(k1, k2 + 1)))
+            error += count * (k2 - k1 + 1)
+    mean = total / (one * n)
+    if mean == (total + error) / (one * n):
+        return mean
+    return float(sums_via_counting(spec, n) / n)
+
+
+#: c of _grid_cut: one enclosure step per n, in prefix-walk steps.
+_POINT_COST = 120
 
 
 def _grid_cut(grid) -> int:
     """The cut M in {0} | grid below which tauberian_probe reads S(n) off
-    one prefix walk; 0 sends every point to sums_via_counting.
+    one prefix walk; 0 sends every point to _enclosed_mean.
 
-    Cost model, with bits(lcm(1..n)) ~ n * log2(e) by the prime number
+    Cost model, with bits(lcm(1..M)) ~ M * log2(e) by the prime number
     theorem (the common factor log2(e) is dropped):
 
-        walk to M:   M * bits(lcm(1..M))                ~ M * M
-        point n:     c * isqrt(n) * bits(lcm(1..n))     ~ c * isqrt(n) * n
+        walk to M:   M * bits(lcm(1..M))    ~ M * M
+        point n:     c * n                  (n small-int floors)
 
-    and M minimises walk(M) + the sum of point(n) over n > M.  c = 10 was
-    measured on a 2-vCPU machine (Python 3.11) for mod:2:1 and the primes
-    at M, n = 2000..20000: the walk with a float at every n took
-    0.9-1.5 ns per M * bit, and sums_via_counting 6-14 ns per
-    isqrt(n) * bit.  Both routes are exact, so c moves only the time.
+    and M minimises walk(M) + the sum of point(n) over n > M.  c = 120 was
+    measured on a 2-vCPU machine (Python 3.11) for mod:2:1, the primes
+    and all: the walk with a float at every n took 1.3-1.8 ns per M * M
+    at M = 2000..20000, and _enclosed_mean 80-280 ns per n at
+    n = 2000..10**6, so c lies between about 100 and 200.  A dense grid
+    is one walk, and a lone point n > c takes the enclosure.  Both routes
+    give the same floats, so c moves only the time.
     """
     tail = 0
-    best, cut = _POINT_COST * sum(math.isqrt(n) * n for n in grid), 0
+    best, cut = _POINT_COST * sum(grid), 0
     for m in reversed(grid):
         cost = m * m + tail
         if cost < best:
             best, cut = cost, m
-        tail += _POINT_COST * math.isqrt(m) * m
+        tail += _POINT_COST * m
     return cut
 
 
 def tauberian_probe(spec, target_rate, n_grid, *, rel_tol=0.01) -> ProbeReport:
     """Sample S(n)/n on an n-grid against a claimed linear growth rate.
 
-    S(n) is exact.  The points up to the cut M = _grid_cut(grid) are read
-    off one walk of D*S(n) = sum_{l <= n} (D/l) * sigma_A(l), n = 1..M,
-    with D = lcm(1..M), keeping only the float x / (D*n) at each point;
-    the points past M each take sums_via_counting.  A dense grid costs
-    one O(M * bits(D)) walk instead of |grid| divisor sums, and a sparse
-    grid of large n skips the walk.  Both routes divide the same exact
-    rational once with correct rounding, so the floats agree bit for bit.
+    The points up to the cut M = _grid_cut(grid) are read off one exact
+    walk of D*S(n) = sum_{l <= n} (D/l) * sigma_A(l), n = 1..M, with
+    D = lcm(1..M), keeping only the float x / (D*n) at each point; the
+    points past M each take _enclosed_mean, O(n) small-int work.  A dense
+    grid costs one O(M * bits(D)) walk instead of |grid| enclosures, and
+    a sparse grid of large n skips the walk.  The walk divides the exact
+    rational once with correct rounding, and the enclosure returns a
+    float only when both its ends round to it, falling back to
+    sums_via_counting when they do not; so every value is
+    float(S(n) / n) bit for bit, whichever route took it.
 
     The ratio is compared to target_rate (for density-d sets:
     pi^2 d / 6) with relative slack rel_tol on the tail samples.
@@ -451,7 +510,6 @@ def tauberian_probe(spec, target_rate, n_grid, *, rel_tol=0.01) -> ProbeReport:
         walk = _cleared_prefix(D, log_gf_coefficients(spec, cut).sigma)
         dense = {n for n in grid if n <= cut}
         values = [x / (D * n) for n, x in enumerate(walk) if n in dense]
-    values += [float(sums_via_counting(spec, n) / n)
-               for n in grid[len(values):]]
+    values += [_enclosed_mean(spec, n) for n in grid[len(values):]]
     return judge_tail("tauberian", grid, tuple(values), lo, hi,
                       meta={"set": str(spec), "target": target})

@@ -68,7 +68,8 @@ class FiniteParts:
     source: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(int(a) for a in self.parts))
+        object.__setattr__(self, "parts", tuple(self.parts))
+        _require_ints("finite part list", *self.parts)
         _validate_increasing(self.parts, "finite part list")
 
     def __str__(self):
@@ -89,7 +90,8 @@ class ResidueParts:
     residues: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "residues", tuple(int(r) for r in self.residues))
+        object.__setattr__(self, "residues", tuple(self.residues))
+        _require_ints("residue class", self.modulus, *self.residues)
         if self.modulus < 1:
             raise ValueError(f"modulus must be >= 1, got {self.modulus}")
         _validate_increasing(self.residues, "residue list")
@@ -109,6 +111,7 @@ class CofiniteTail:
     start: int
 
     def __post_init__(self):
+        _require_ints("cofinite start", self.start)
         if self.start < 1:
             raise ValueError(f"cofinite start must be >= 1, got {self.start}")
 
@@ -125,6 +128,14 @@ class PrimeParts:
 
 
 PartSetSpec = Union[AllParts, FiniteParts, ResidueParts, CofiniteTail, PrimeParts]
+
+
+def _require_ints(what, *values):
+    """Refuse a float, Fraction or str where a part-set field needs an int,
+    by the isinstance(n, int) rule of the probes' grids."""
+    for v in values:
+        if not isinstance(v, int):
+            raise ValueError(f"{what}: expected an int, got {v!r}")
 
 
 def _validate_increasing(values, what):

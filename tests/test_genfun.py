@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -15,11 +16,11 @@ from partgrowth.genfun import (CoefficientSeries, abelian_density_target,
                                abelian_probe, log_gf, log_gf_coefficients,
                                mobius_invert_sums, mobius_sieve,
                                sums_via_counting, tauberian_probe,
-                               _harmonic_run, _lcm_upto, _neg_log,
-                               _small_part_end, _tail_cutoff)
+                               _enclosed_mean, _harmonic_run, _lcm_upto,
+                               _neg_log, _small_part_end, _tail_cutoff)
 from partgrowth.partsets import (AllParts, CofiniteTail, FiniteParts,
                                  PrimeParts, ResidueParts, counting_function,
-                                 enumerate_parts)
+                                 enumerate_parts, iter_parts)
 
 ROUND_TRIP_FAMILY = [
     AllParts(),
@@ -512,12 +513,13 @@ def _runs_and_points(runs, points):
     return tuple(sorted(set().union(*runs, points)))
 
 
-# dense runs of consecutive n mixed with a few sparse large points
+# dense runs of consecutive n, read off the walk, mixed with a few sparse
+# large points, each taken by the enclosure
 GRIDS = st.builds(
     _runs_and_points,
     st.lists(st.tuples(st.integers(1, 400), st.integers(1, 300)).map(
         lambda run: range(run[0], run[0] + run[1])), max_size=3),
-    st.lists(st.integers(1, 6000), max_size=4),
+    st.lists(st.integers(1, 20000), max_size=4),
 ).filter(bool)
 
 
@@ -531,8 +533,86 @@ def test_tauberian_grid_matches_pointwise_divisor_sums(spec, grid):
         float(sums_via_counting(spec, n) / n) for n in grid)
 
 
+def _exact_mean(spec, n):
+    return float(sums_via_counting(spec, n) / n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=PART_SETS, n=st.integers(1, 20000))
+@example(spec=AllParts(), n=20000)
+@example(spec=PrimeParts(), n=1)
+@example(spec=CofiniteTail(80), n=79)
+@example(spec=ResidueParts(12, (12,)), n=11)
+def test_enclosed_mean_is_the_rounded_exact_mean(spec, n):
+    assert _enclosed_mean(spec, n).hex() == _exact_mean(spec, n).hex()
+
+
+def _count_fallbacks(monkeypatch):
+    calls = []
+
+    def counted(spec, n):
+        calls.append(n)
+        return sums_via_counting(spec, n)
+    monkeypatch.setattr(genfun, "sums_via_counting", counted)
+    return calls
+
+
+def test_enclosure_with_few_guard_bits_falls_back_to_the_same_bits(
+        monkeypatch):
+    # cofinite:80 has A(v) = 0 on every block past isqrt(n) < 80, so only
+    # the k <= isqrt(n) terms carry its floors
+    specs = (AllParts(), PrimeParts(), ResidueParts(2, (1,)),
+             CofiniteTail(3), CofiniteTail(80), FiniteParts((3, 5, 700)))
+    ns = range(1024, 2048, 37)          # bits(n) = 11 for every n here
+    expected = [_exact_mean(spec, n).hex() for spec in specs for n in ns]
+    calls = _count_fallbacks(monkeypatch)
+    # P = 64 + 22 + guard: 4 bits, then 58 bits (a width near one ulp of
+    # the 53-bit float), then the default
+    for guard, fallbacks in ((-82, "all"), (-28, "some"), (40, "none")):
+        monkeypatch.setattr(genfun, "_GUARD_BITS", guard)
+        calls.clear()
+        assert [_enclosed_mean(spec, n).hex()
+                for spec in specs for n in ns] == expected, guard
+        if fallbacks == "all":
+            assert len(calls) == len(expected)
+        elif fallbacks == "some":
+            assert 0 < len(calls) < len(expected)
+        else:
+            assert not calls
+
+
+def test_enclosure_of_a_zero_sum_is_zero_without_fallback(monkeypatch):
+    monkeypatch.setattr(genfun, "sums_via_counting", None)
+    for spec in (PrimeParts(), FiniteParts((3, 5))):
+        assert _enclosed_mean(spec, 1).hex() == (0.0).hex()
+    assert _enclosed_mean(FiniteParts((3, 5)), 2).hex() == (0.0).hex()
+    assert _enclosed_mean(FiniteParts((3, 5)), 3) == 1 / 3
+    assert tauberian_probe(PrimeParts(), 1.0, (1, 500)).values == (
+        0.0, _exact_mean(PrimeParts(), 500))
+
+
+def _mean_by_harmonic_numbers(spec, n):
+    """S(n)/n as sum over parts a <= n of H(n // a), grouped by n // a and
+    summed at 200 bits with mpmath, then rounded once."""
+    counts = Counter(map(n.__floordiv__, iter_parts(spec, n)))
+    with mpmath.workprec(200):
+        total = mpmath.fsum(count * mpmath.harmonic(v)
+                            for v, count in counts.items())
+        return float(total / n)
+
+
+@pytest.mark.parametrize("spec", [ResidueParts(2, (1,)), PrimeParts(),
+                                  AllParts()], ids=str)
+def test_tauberian_probe_reaches_a_million(spec, monkeypatch):
+    n = 10 ** 6
+    monkeypatch.setattr(genfun, "sums_via_counting", None)  # no fallback
+    report = tauberian_probe(spec, 1.0, [n])
+    assert report.values[0].hex() == _mean_by_harmonic_numbers(spec, n).hex()
+
+
 def test_grid_cut_is_estimate_only(monkeypatch):
-    for name in ("_lcm_upto", "log_gf_coefficients", "sums_via_counting"):
+    for name in ("_lcm_upto", "log_gf_coefficients", "sums_via_counting",
+                 "_enclosed_mean"):
         monkeypatch.setattr(genfun, name, None)     # any call would fail
     assert genfun._grid_cut(parse_grid("geo:1:2000:1.0001")) == 2000
     assert genfun._grid_cut((10000, 50000, 100000)) == 0

@@ -165,6 +165,44 @@ def test_cofinite_validation():
         CofiniteTail(0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: FiniteParts((1.5, 2.7)),
+    lambda: FiniteParts((1, 2.0)),
+    lambda: FiniteParts((1, Fraction(2))),
+    lambda: FiniteParts(("3",)),
+    lambda: ResidueParts(4.9, (1, 3)),
+    lambda: ResidueParts(4.0, (1,)),
+    lambda: ResidueParts(4, (1.2, 3.8)),
+    lambda: ResidueParts(4, (1, 3.0)),
+    lambda: CofiniteTail(2.5),
+    lambda: CofiniteTail(3.0),
+    lambda: CofiniteTail("3"),
+])
+def test_spec_fields_must_be_ints(make):
+    # a float used to truncate silently: FiniteParts((1.5, 2.7)) printed
+    # finite:1,2 and ResidueParts(4.9, (1.2, 3.8)) mod:4.9:1,3
+    with pytest.raises(ValueError, match="expected an int"):
+        make()
+
+
+def test_internal_spec_builders_pass_ints(tmp_path):
+    from partgrowth.asymptotics import arithmetic_progression_probe
+    from partgrowth.counting import table_from_parts
+    assert table_from_parts(range(4, 0, -1), 10).spec == FiniteParts(
+        (1, 2, 3, 4))
+    path = tmp_path / "parts.txt"
+    path.write_text("6\n2\n\n4\n")
+    spec = load_part_file(path)
+    assert spec.parts == (2, 4, 6)
+    assert normalize_by_gcd(spec, 2) == FiniteParts((1, 2, 3))
+    assert normalize_by_gcd(ResidueParts(6, [2, 4]), 2) == ResidueParts(
+        3, (1, 2))
+    report = arithmetic_progression_probe(4, [1, 3], [200, 400])
+    assert report.meta["set"] == "mod:4:1,3"
+    with pytest.raises(ValueError, match="expected an int, got 4.0"):
+        arithmetic_progression_probe(4.0, [1, 3], [200, 400])
+
+
 def test_str_forms():
     assert str(AllParts()) == "all"
     assert str(FiniteParts((1, 2, 3))) == "finite:1,2,3"
