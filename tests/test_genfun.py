@@ -547,16 +547,6 @@ def test_enclosed_mean_is_the_rounded_exact_mean(spec, n):
     assert _enclosed_mean(spec, n).hex() == _exact_mean(spec, n).hex()
 
 
-def _count_fallbacks(monkeypatch):
-    calls = []
-
-    def counted(spec, n):
-        calls.append(n)
-        return sums_via_counting(spec, n)
-    monkeypatch.setattr(genfun, "sums_via_counting", counted)
-    return calls
-
-
 def test_enclosure_with_few_guard_bits_falls_back_to_the_same_bits(
         monkeypatch):
     # cofinite:80 has A(v) = 0 on every block past isqrt(n) < 80, so only
@@ -565,7 +555,12 @@ def test_enclosure_with_few_guard_bits_falls_back_to_the_same_bits(
              CofiniteTail(3), CofiniteTail(80), FiniteParts((3, 5, 700)))
     ns = range(1024, 2048, 37)          # bits(n) = 11 for every n here
     expected = [_exact_mean(spec, n).hex() for spec in specs for n in ns]
-    calls = _count_fallbacks(monkeypatch)
+    calls = []
+
+    def counted(spec, n):
+        calls.append(n)
+        return sums_via_counting(spec, n)
+    monkeypatch.setattr(genfun, "sums_via_counting", counted)
     # P = 64 + 22 + guard: 4 bits, then 58 bits (a width near one ulp of
     # the 53-bit float), then the default
     for guard, fallbacks in ((-82, "all"), (-28, "some"), (40, "none")):
