@@ -25,7 +25,8 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .counting import partition_table
-from .partsets import FiniteParts, PartSetSpec, ResidueParts, analytic_gcd
+from .partsets import (FiniteParts, PartSetSpec, ResidueParts,
+                       _validate_increasing, analytic_gcd)
 from .reports import ProbeReport, default_band, judge_tail
 
 #: pi * sqrt(2/3), the growth constant of the unrestricted counts.
@@ -102,7 +103,11 @@ def finite_set_leading_ratio(table, n) -> LeadingRatio:
     k = len(parts)
     product = math.prod(parts)
     exact = Fraction(table[n] * math.factorial(k - 1) * product, n ** (k - 1))
-    return LeadingRatio(exact, float(exact))
+    try:
+        return LeadingRatio(exact, float(exact))
+    except OverflowError:
+        raise ValueError(
+            f"leading ratio at n={n} is too large for a float") from None
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +134,7 @@ def density_growth_probe(spec, grid, *, lower_density, upper_density,
     larger divisor (finite:2,3 on the grid 1,2 sees only the part 2).
     """
     grid = tuple(grid)
-    if (not grid or not all(isinstance(n, int) for n in grid) or grid[0] < 1
-            or any(b <= a for a, b in zip(grid, grid[1:]))):
-        raise ValueError(
-            f"grid must be strictly increasing ints >= 1: {grid}")
+    _validate_increasing(grid, "grid")
     # compared exactly first: float() of a huge rational overflows
     if not 0 <= lower_density <= upper_density <= 1:
         raise ValueError(
@@ -179,7 +181,7 @@ def arithmetic_progression_probe(modulus, residues, grid, *, band=None,
     reported as a witness.
     """
     spec = ResidueParts(modulus, tuple(residues))
-    g = math.gcd(*spec.residues, spec.modulus)
+    g = analytic_gcd(spec)
     if g != 1:
         raise ValueError(
             f"need gcd(residues..., modulus) = 1; witness: gcd = {g} "

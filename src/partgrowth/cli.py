@@ -42,8 +42,8 @@ from .genfun import (abelian_density_target, abelian_probe,
                      log_gf, log_gf_coefficients, mobius_invert_sums,
                      tauberian_probe)
 from .partsets import (AllParts, CofiniteTail, FiniteParts, PrimeParts,
-                       ResidueParts, counting_function, density_profile,
-                       enumerate_parts, load_part_file)
+                       ResidueParts, _validate_increasing, counting_function,
+                       density_profile, enumerate_parts, load_part_file)
 from .reports import frac_str
 
 
@@ -130,8 +130,7 @@ def parse_grid(text):
     if not text:
         raise ValueError("empty grid")
     values = tuple(_int_token(t, "grid point") for t in text.split(","))
-    if values[0] < 1 or any(b <= a for a, b in zip(values, values[1:])):
-        raise ValueError(f"grid must be strictly increasing and >= 1: {text!r}")
+    _validate_increasing(values, "grid")
     return values
 
 

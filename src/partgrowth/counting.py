@@ -10,8 +10,8 @@ p_A(0..limit) from the part set, between two routes.
     the pentagonal recurrence with N_A as its right-hand side,
     O(limit^1.5) big-int additions.  Every excluded part costs one O(limit)
     pass to build N_A; a residue set that leaves out every multiple of
-    some d | m starts from the sparse E(x^d) instead and pays a pass only
-    for the other excluded parts.
+    some d | m, d <= limit, starts from the sparse E(x^d) instead and pays
+    a pass only for the other excluded parts.
   * The coin DP (table_from_parts), O(limit * |A cap [1, limit]|).
 
 The route with the smaller estimated cost wins, the coin DP on a tie
@@ -30,14 +30,15 @@ The check_* functions verify inequalities the count sequence must satisfy
 (translation monotonicity, eventual strict growth for cofinite sets).
 window_max_location finds where on [0, x] the count is maximized, which
 for a set with least part a1 always happens within a1 of the right edge;
-check_window_max verifies that for every prefix [0, y], y <= x, in one pass.
+check_window_max checks every prefix [0, y] on the same running maximizer.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 from .partsets import (AllParts, CofiniteTail, PartSetSpec, ResidueParts,
@@ -99,19 +100,19 @@ def partition_table(spec, limit) -> PartitionTable:
                           values=tuple(_euler_quotient(numerator, limit)))
 
 
-def _euler_step(spec) -> int:
-    """Least d >= 2 with d | m and no residue among d, 2d, ..., m, for a
-    residue set; 0 when there is none.  Such a set leaves out every
-    multiple of d, so E(x^d) is a factor of its numerator.
+def _euler_step(spec, limit) -> int:
+    """Least d in [2, limit] with d | m and no residue among d, 2d, ..., m,
+    for a residue set; 0 when there is none.  Such a set leaves out every
+    multiple of d, so E(x^d) is a factor of its numerator.  A step past
+    the limit would put no term of E(x^d) at or below it, so the scan
+    stops there, however large m is.
     """
     if not isinstance(spec, ResidueParts):
         return 0
     m = spec.modulus
-    small = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
-    divisors = small + [m // d for d in reversed(small) if d * d != m]
     # the residues lie in [1, m], so d, 2d, ..., m are its multiples there
-    return next((d for d in divisors[1:]
-                 if all(r % d for r in spec.residues)), 0)
+    return next((d for d in range(2, min(m, limit) + 1)
+                 if m % d == 0 and all(r % d for r in spec.residues)), 0)
 
 
 def _route(spec, limit) -> Optional[list[int]]:
@@ -128,7 +129,7 @@ def _route(spec, limit) -> Optional[list[int]]:
     for a in iter_parts(spec, limit):
         member[a] = 1
         coin_cost += limit - a + 1
-    d = _euler_step(spec)
+    d = _euler_step(spec, limit)
     excluded = [a for a in range(1, limit + 1)
                 if not member[a] and (d == 0 or a % d)]
     plus, minus = _pentagonal_offsets(limit)
@@ -281,17 +282,21 @@ def _check_window_args(table, least_part, x):
         raise ValueError(f"least part must be >= 1, got {least_part}")
 
 
+def _running_maximizers(table, x):
+    """For y = 0, 1, ..., x, lazily, the largest u <= y with p_A(u)
+    maximal over [0, y]: ties go to the larger index."""
+    values = table.values
+    return accumulate(range(x + 1),
+                      lambda u, y: y if values[y] >= values[u] else u)
+
+
 def window_max_location(table, least_part, x) -> int:
     """The largest u in [0, x] with p_A(u) maximal; always lands in
     (x - least_part, x] because adding one copy of the least part maps
     partitions of u to partitions of u + least_part.
     """
     _check_window_args(table, least_part, x)
-    best_u = 0
-    for u in range(0, x + 1):
-        if table[u] >= table[best_u]:
-            best_u = u
-    return best_u
+    return deque(_running_maximizers(table, x), maxlen=1).pop()
 
 
 def check_window_max(table, least_part, x) -> CheckReport:
@@ -303,12 +308,8 @@ def check_window_max(table, least_part, x) -> CheckReport:
     violation is (y, maximizer) at the first failing prefix.
     """
     _check_window_args(table, least_part, x)
-    values = table.values
     note = f"least_part={least_part}"
-    best_u = 0
-    for y in range(x + 1):
-        if values[y] >= values[best_u]:
-            best_u = y
+    for y, best_u in enumerate(_running_maximizers(table, x)):
         if best_u <= y - least_part:
             return CheckReport(False, y + 1, (y, best_u), note=note)
     return CheckReport(True, x + 1, note=note)

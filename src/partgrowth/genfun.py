@@ -19,15 +19,15 @@ are views of them, and so are its integer forms cleared over
 D = lcm(1..limit) and L = lcm(1..isqrt(limit)), which are ints because
 D and L divide every index they meet.  Both identities split their sum
 at r = isqrt(n) by Dirichlet's hyperbola method: each k <= r is one
-term, and the k > r fall into blocks of constant v = n // k <= r.  So
+term, and _blocks groups the k > r by their constant v = n // k <= r.  So
 each inversion product pairs a D-sized int with a small one, and the
 divisor sum's k <= r terms are small ints.  The inversion raises if its
 total leaves a remainder modulo D*L, and the divisor sum if a run of
 D/k does.
 
 log_gf evaluates log F(x) in floating point for 0 < x < 1 with a proven
-truncation bound, streaming the parts of an infinite set instead of
-listing them, and the two probes compare (1-x) log F(x) and S(n)/n
+truncation bound, streaming the parts of every set to one cutoff and
+never listing them, and the two probes compare (1-x) log F(x) and S(n)/n
 against their common limit pi^2 * density / 6.  tauberian_probe needs
 only the float S(n)/n.  It reads its grid points up to a cut M off one
 exact prefix walk of D*S(n) with D = lcm(1..M), and takes each point
@@ -42,15 +42,14 @@ same either way.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, islice, repeat
 from operator import floordiv, mul, neg
 
-from .partsets import (FiniteParts, PartSetSpec, counting_function,
-                       iter_parts, primes_upto)
+from .partsets import (FiniteParts, PartSetSpec, _validate_increasing,
+                       counting_function, iter_parts, primes_upto)
 from .reports import ProbeReport, default_band, judge_tail
 
 PI2_OVER_6 = math.pi * math.pi / 6.0
@@ -204,10 +203,9 @@ def _harmonic_run(D, a, b) -> int:
     return total
 
 
-def _blocks_past_root(n):
-    """(v, k1, k2) for each maximal run k1..k2 of k > isqrt(n) on which
-    n // k = v; every v is <= isqrt(n)."""
-    k = math.isqrt(n) + 1
+def _blocks(n, k=1):
+    """(v, k1, k2) for the runs k1..k2 that split [k, n] where n // k' = v
+    is constant, each as long as it can be; past isqrt(n), v <= isqrt(n)."""
     while k <= n:
         v = n // k
         k2 = n // v
@@ -241,7 +239,7 @@ def sums_via_counting(spec, n) -> Fraction:
     head = sum(counting_function(spec, n // k) * (L // k)
                for k in range(1, r + 1))
     total = head * (D // L)
-    for v, k1, k2 in _blocks_past_root(n):
+    for v, k1, k2 in _blocks(n, r + 1):
         count = counting_function(spec, v)
         if count:
             total += count * _harmonic_run(D, k1, k2)
@@ -273,7 +271,7 @@ def mobius_invert_sums(series, n) -> int:
     for k in range(1, r + 1):
         if mu_l[k]:
             total += scaled[n // k] * mu_l[k]
-    for v, k1, k2 in _blocks_past_root(n):
+    for v, k1, k2 in _blocks(n, r + 1):
         total += l_sums[v] * (weighted[k2] - weighted[k1 - 1])
     count, rem = divmod(total, D * L)
     if rem:
@@ -329,35 +327,33 @@ def _small_part_end(t) -> int:
 def log_gf(spec, x, *, tail_tol=1e-9) -> float:
     """log F(x) = sum_{a in A} -log(1 - x^a) for 0 < x < 1.
 
-    Finite sets are summed in full (tail_tol may be 0).  Infinite sets
-    are truncated at _tail_cutoff(x, tail_tol), so the result is within
-    tail_tol of the true value before rounding, and their parts are
-    streamed from iter_parts, never listed.  With w = a * t, t = -log x,
-    a term is -log(-expm1(-w)) for the parts a <= k = _small_part_end(t)
+    The parts stream from iter_parts up to a cutoff, never listed: a
+    finite set's largest part (tail_tol may be 0), or for an infinite set
+    _tail_cutoff(x, tail_tol), so the result is within tail_tol of the
+    true value before rounding.  With w = a * t, t = -log x, a term is
+    -log(-expm1(-w)) for the parts a <= k = _small_part_end(t)
     (w <= log 2) and -log1p(-exp(-w)) past k, so each stays accurate.
-    Both runs are chained C-level maps into one math.fsum, with no
-    Python call per term: a * (-t) is -(a * t) bit for bit, and fsum is
-    correctly rounded, so neither the order of the parts nor summing
-    the negated terms can change a bit.  0.0 - sum keeps an empty sum
-    at +0.0.
+    exp(-w) is 0.0 for w >= 746, so every term past a = ceil(746 / t) is
+    -0.0: capping the cutoff there changes no bit, and no part too large
+    for a float meets a * t.  Both runs are chained C-level maps into one
+    math.fsum, with no Python call per term: a * (-t) is -(a * t) bit
+    for bit, and fsum is correctly rounded, so neither the order of the
+    parts nor summing the negated terms can change a bit.  0.0 - sum
+    keeps an empty sum at +0.0.
     """
     x = float(x)
     if not 0.0 < x < 1.0:
         raise ValueError(f"x must lie in (0, 1), got {x}")
+    finite = isinstance(spec, FiniteParts)
+    if not (tail_tol > 0 or tail_tol == 0 and finite):
+        raise ValueError(
+            f"tail_tol must be > 0, or 0 for a finite set, got {tail_tol}")
     t = _neg_log(x)
     k = _small_part_end(t)
-    if isinstance(spec, FiniteParts):
-        if tail_tol < 0:
-            raise ValueError(f"tail_tol must be >= 0, got {tail_tol}")
-        split = bisect_right(spec.parts, k)
-        small, big = spec.parts[:split], spec.parts[split:]
-    else:
-        if tail_tol <= 0:
-            raise ValueError(
-                f"tail_tol must be > 0 for an infinite set, got {tail_tol}")
-        cutoff = _tail_cutoff(x, tail_tol)
-        small = iter_parts(spec, min(k, cutoff)) if k and cutoff else ()
-        big = iter_parts(spec, cutoff, k + 1) if cutoff else ()
+    cutoff = min(spec.parts[-1] if finite else _tail_cutoff(x, tail_tol),
+                 math.ceil(746 / t))
+    small = iter_parts(spec, min(k, cutoff)) if k and cutoff else ()
+    big = iter_parts(spec, cutoff, k + 1) if cutoff else ()
     return 0.0 - math.fsum(chain(
         map(math.log, map(neg, map(math.expm1, map(mul, small, repeat(-t))))),
         map(math.log1p, map(neg, map(math.exp, map(mul, big, repeat(-t)))))))
@@ -402,10 +398,9 @@ def _enclosed_mean(spec, n) -> float:
     """float(S(n) / n) from a fixed-point enclosure of S(n).
 
     With one = 2**P, P = 64 + 2 * bits(n) + _GUARD_BITS, the divisor sum
-    of sums_via_counting, split at r = isqrt(n), is taken in fixed point:
+    of sums_via_counting is taken in fixed point over the blocks of _blocks:
 
-        T = sum_{k <= r} A(n // k) * (one // k)
-          + sum over blocks [k1, k2] of k > r with v = n // k <= r
+        T = sum over blocks [k1, k2] of constant v = n // k
                 of A(v) * (one // k1 + ... + one // k2),
 
     and E is the sum of A(.) over every floor taken.  Each floor one // k
@@ -422,15 +417,11 @@ def _enclosed_mean(spec, n) -> float:
     4**bits(n): the enclosure is narrower than 2**-(64 + _GUARD_BITS) *
     S(n), and only a value that close to a rounding boundary falls back.
     The work is about n floors of a P-bit int by a small one, in C-level
-    sums, and O(isqrt(n)) counting_function calls.
+    sums, and one counting_function call per block, O(isqrt(n)) in all.
     """
     one = 1 << (64 + 2 * n.bit_length() + _GUARD_BITS)
     total = error = 0
-    for k in range(1, math.isqrt(n) + 1):
-        count = counting_function(spec, n // k)
-        total += count * (one // k)
-        error += count
-    for v, k1, k2 in _blocks_past_root(n):
+    for v, k1, k2 in _blocks(n):
         count = counting_function(spec, v)
         if count:
             total += count * sum(map(floordiv, repeat(one, k2 - k1 + 1),
@@ -494,10 +485,7 @@ def tauberian_probe(spec, target_rate, n_grid, *, rel_tol=0.01) -> ProbeReport:
     rel_tol as an absolute ceiling instead, band [0, rel_tol].
     """
     grid = tuple(n_grid)
-    if (not grid or not all(isinstance(n, int) for n in grid) or grid[0] < 1
-            or any(b <= a for a, b in zip(grid, grid[1:]))):
-        raise ValueError(
-            f"n grid must be strictly increasing ints >= 1: {grid}")
+    _validate_increasing(grid, "n grid")
     target = float(target_rate)
     if not (math.isfinite(target) and target >= 0):
         raise ValueError(

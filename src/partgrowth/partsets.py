@@ -15,9 +15,10 @@ descriptions through three primitives:
     set with gcd d > 1 only partitions multiples of d and is handled by
     dividing everything through by d
 
-Density diagnostics sample the counting function on a user grid and keep
-the ratios as exact rationals; no limits are ever computed, only finite
-prefix data with suffix min/max summaries.
+Part lists, residues, spec fields and every integer grid obey one rule,
+_validate_increasing: nonempty, strictly increasing ints >= 1.  Density
+diagnostics keep A(x)/x on such a grid as exact rationals, with suffix
+min/max summaries; no limit is ever computed.
 
 All spec types are immutable; operations are pure functions.  The one
 cache is the prime sieve: a bytearray of prime flags plus the prime
@@ -69,8 +70,7 @@ class FiniteParts:
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
-        _require_ints("finite part list", *self.parts)
-        _validate_increasing(self.parts, "finite part list")
+        _validate_increasing(self.parts, "finite parts")
 
     def __str__(self):
         if self.source:
@@ -91,10 +91,8 @@ class ResidueParts:
 
     def __post_init__(self):
         object.__setattr__(self, "residues", tuple(self.residues))
-        _require_ints("residue class", self.modulus, *self.residues)
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
-        _validate_increasing(self.residues, "residue list")
+        _validate_increasing((self.modulus,), "modulus")
+        _validate_increasing(self.residues, "residues")
         for r in self.residues:
             if r > self.modulus:
                 raise ValueError(f"residue {r} exceeds modulus {self.modulus}")
@@ -111,9 +109,7 @@ class CofiniteTail:
     start: int
 
     def __post_init__(self):
-        _require_ints("cofinite start", self.start)
-        if self.start < 1:
-            raise ValueError(f"cofinite start must be >= 1, got {self.start}")
+        _validate_increasing((self.start,), "cofinite start")
 
     def __str__(self):
         return f"cofinite:{self.start}"
@@ -130,19 +126,17 @@ class PrimeParts:
 PartSetSpec = Union[AllParts, FiniteParts, ResidueParts, CofiniteTail, PrimeParts]
 
 
-def _require_ints(what, *values):
-    """Refuse a float, Fraction or str where a part-set field needs an int,
-    by the isinstance(n, int) rule of the probes' grids."""
-    for v in values:
-        if not isinstance(v, int):
-            raise ValueError(f"{what}: expected an int, got {v!r}")
-
-
 def _validate_increasing(values, what):
+    """The one rule for part lists, residues, spec fields and n-grids:
+    a nonempty, strictly increasing sequence of ints >= 1.  A float,
+    Fraction or str is refused, where int() would truncate it silently."""
     if not values:
         raise ValueError(f"{what} must be nonempty")
+    for v in values:
+        if not isinstance(v, int):
+            raise ValueError(f"{what} takes ints: expected an int, got {v!r}")
     if values[0] < 1:
-        raise ValueError(f"{what} entries must be >= 1, got {values[0]}")
+        raise ValueError(f"{what} must be >= 1, got {values[0]}")
     for a, b in zip(values, values[1:]):
         if b <= a:
             raise ValueError(f"{what} must be strictly increasing, got {a} before {b}")
@@ -387,21 +381,12 @@ class DensityProfile:
 def density_profile(spec, grid) -> DensityProfile:
     """Sample A(x)/x exactly on a strictly increasing grid of integers."""
     grid = tuple(grid)
-    if not all(isinstance(x, int) for x in grid):
-        raise ValueError(f"density grid must hold ints: {grid}")
     _validate_increasing(grid, "density grid")
     # largest point first: the prime sieve then runs once, to the grid's
-    # end, instead of doubling past it
-    ratios = tuple(reversed([Fraction(counting_function(spec, x), x)
-                             for x in reversed(grid)]))
-    tail_min = []
-    tail_max = []
-    lo = hi = None
-    for q in reversed(ratios):
-        lo = q if lo is None else min(lo, q)
-        hi = q if hi is None else max(hi, q)
-        tail_min.append(lo)
-        tail_max.append(hi)
-    tail_min.reverse()
-    tail_max.reverse()
-    return DensityProfile(spec, grid, ratios, tuple(tail_min), tuple(tail_max))
+    # end, instead of doubling past it; the suffix extremes are then
+    # running ones
+    backward = [Fraction(counting_function(spec, x), x) for x in reversed(grid)]
+    tail_min, tail_max = (tuple(accumulate(backward, pick))[::-1]
+                          for pick in (min, max))
+    return DensityProfile(spec, grid, tuple(reversed(backward)), tail_min,
+                          tail_max)

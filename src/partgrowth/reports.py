@@ -8,6 +8,7 @@ report says so in its metadata.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -57,12 +58,17 @@ class ProbeReport:
 def default_band(target, rel_tol):
     """target widened by rel_tol either way; at target 0, rel_tol becomes
     an absolute ceiling, band [0, rel_tol].  A negative rel_tol would
-    invert the band and is refused."""
+    invert the band, and one that takes an end past the float range
+    would judge against infinities; both are refused."""
     if rel_tol < 0:
         raise ValueError(f"rel_tol must be >= 0, got {rel_tol}")
-    if target > 0.0:
-        return target * (1.0 - rel_tol), target * (1.0 + rel_tol)
-    return 0.0, rel_tol
+    band = ((target * (1.0 - rel_tol), target * (1.0 + rel_tol))
+            if target > 0.0 else (0.0, rel_tol))
+    if not all(map(math.isfinite, band)):
+        raise ValueError(
+            f"rel_tol {rel_tol} takes the band around {target} past the "
+            f"float range")
+    return band
 
 
 def judge_tail(name, xs, values, lo, hi, meta) -> ProbeReport:

@@ -1,5 +1,12 @@
 import sys
 
+#: Grids that the one grid rule (partsets._validate_increasing) refuses:
+#: empty, a point below 1, a repeat, a descent and a float.  Every caller
+#: of the rule runs them through its own validation test.
+BAD_GRIDS = ([], [0], [2, 2], [3, 1], [1.0])
+#: The messages of that rule, one per kind of refusal.
+GRID_RULE = "must be nonempty|must be >= 1|strictly increasing|expected an int"
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Replay the acceptance checklist after the normal test report."""

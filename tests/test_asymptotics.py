@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import BAD_GRIDS, GRID_RULE
 from partgrowth.asymptotics import (C0, arithmetic_progression_probe,
                                     density_growth_probe,
                                     finite_set_leading_ratio, growth_ratio,
@@ -190,6 +191,10 @@ def test_probe_input_validation():
     # int() would probe the truncated points 20 and 30 without a word
     for grid in ([20.5, 30.9], [10, 20.0], [Fraction(21, 2)]):
         with pytest.raises(ValueError, match="ints"):
+            density_growth_probe(AllParts(), grid, lower_density=1,
+                                 upper_density=1)
+    for grid in BAD_GRIDS:
+        with pytest.raises(ValueError, match=GRID_RULE):
             density_growth_probe(AllParts(), grid, lower_density=1,
                                  upper_density=1)
     # compared exactly: float() of these would overflow

@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+from conftest import BAD_GRIDS
 from partgrowth.cli import (CommandRequest, main, parse_band, parse_grid,
                             parse_set_spec, parse_x_grid)
 from partgrowth.partsets import (AllParts, CofiniteTail, FiniteParts,
@@ -82,6 +83,10 @@ def test_parse_grid_errors():
         parse_grid("5,5")
     with pytest.raises(ValueError):
         parse_grid("0,5")
+    # "" and "1.0" fail as text, before the grid rule sees a point
+    for grid in BAD_GRIDS:
+        with pytest.raises(ValueError):
+            parse_grid(",".join(map(str, grid)))
     with pytest.raises(ValueError):
         parse_grid("geo:10:5:2")
     with pytest.raises(ValueError):
@@ -378,6 +383,17 @@ def test_genfun_takes_x_where_x_minus_one_rounds_to_minus_one(capsys, spec,
         assert obj["log_f"][0] == pytest.approx(1e-17, rel=1e-13)
 
 
+def test_genfun_huge_finite_part_adds_nothing(capsys):
+    # its term is -0.0 at any x: the report is finite:1's but for the set
+    reports = []
+    for spec in ("finite:1", "finite:1,1" + "0" * 400):
+        code, out, _ = _run("genfun", "--set", spec, "--xs", "list:0.5,0.9",
+                            capsys=capsys)
+        assert code == 0 and json.loads(out)["set"] == spec
+        reports.append(out.replace(spec, "SET"))
+    assert reports[0] == reports[1]
+
+
 def test_genfun_band_needs_density(capsys):
     code, _, err = _run("genfun", "--set", "all", "--xs", "0.5", "--band",
                         "0,1", capsys=capsys)
@@ -519,6 +535,15 @@ def test_usage_errors_exit_2(capsys):
          "[0, 1], got 1e999"),
         (["direct-probe", "--set", "all", "--grid", "10,20", "--alpha",
           "1/2", "--beta", "1e-999"], "got 1/2, 1e-999"),
+        # a band end past the float range, and a ratio too large for one
+        *(([*argv, "--format", fmt], message) for argv, message in (
+            (["tauberian-probe", "--set", "all", "--grid", "10", "--density",
+              "1", "--rel-tol", "1.2e308"], "past the float range"),
+            (["genfun", "--set", "all", "--xs", "list:0.5", "--density", "1",
+              "--rel-tol", "1.2e308"], "past the float range"),
+            (["finite-asym", "--set", "finite:1,1" + "0" * 400, "--grid",
+              "1"], "too large for a float"),
+        ) for fmt in ("json", "csv")),
     ]:
         code, out, err = _run(*argv, capsys=capsys)
         assert code == 2, argv

@@ -197,9 +197,28 @@ def test_route_choices_at_2000(spec, quotient):
     (ResidueParts(1, (1,)), 0),
     (AllParts(), 0),
     (CofiniteTail(3), 0),
+    # steps past the limit 100 are not looked for: 202 and 2**89 - 1
+    (ResidueParts(202, (2, 101)), 0),
+    (ResidueParts(2 ** 89 - 1, (3, 5)), 0),
+    (ResidueParts(3 * 10 ** 20, (1, 2)), 3),
 ])
 def test_euler_step(spec, step):
-    assert _euler_step(spec) == step
+    assert _euler_step(spec, 100) == step
+
+
+@pytest.mark.parametrize("spec, quotient", [
+    (ResidueParts(10 ** 20, (1,)), False),
+    (ResidueParts(6 * 10 ** 30, (1, 7, 6 * 10 ** 30)), False),
+    (ResidueParts(2 ** 89 - 1, (3, 5)), False),
+    (ResidueParts(2 * 10 ** 20, tuple(range(1, 60, 2))), True),
+])
+def test_huge_modulus_table_matches_the_coin_dp(spec, quotient):
+    # trial division of m to sqrt(m) would not finish; the step scan
+    # stops at the limit
+    limit = 60
+    assert (_route(spec, limit) is not None) == quotient
+    dp = table_from_parts(enumerate_parts(spec, limit), limit)
+    assert partition_table(spec, limit).values == dp.values
 
 
 def test_odd_parts_quotient_matches_dp_at_3000():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import BAD_GRIDS, GRID_RULE
 from partgrowth import genfun, partsets
 from partgrowth.cli import parse_grid
 from partgrowth.genfun import (CoefficientSeries, abelian_density_target,
@@ -341,12 +342,17 @@ def _scalar_log_gf(parts, x):
 
 
 @pytest.mark.parametrize("spec", INFINITE_SETS, ids=str)
-@pytest.mark.parametrize("x", [0.5, 1 - 2.0 ** -10, 1 - 2.0 ** -14])
-def test_streamed_log_gf_equals_fsum_over_listed_parts(spec, x):
+@pytest.mark.parametrize("x, tail_tol", [
+    *(pytest.param(x, 1e-9, id=str(x))
+      for x in (0.5, 1 - 2.0 ** -10, 1 - 2.0 ** -14)),
+    # at 0.9 the tail cutoff passes a * t = 746, where log_gf stops and
+    # every term the reference adds past it is -0.0
+    *(pytest.param(x, 5e-324, id=f"{x}-5e-324") for x in (0.5, 0.9))])
+def test_streamed_log_gf_equals_fsum_over_listed_parts(spec, x, tail_tol):
     # fsum is correctly rounded, so the order of the streamed parts
     # (class by class for residue sets) cannot change a single bit
-    parts = enumerate_parts(spec, _tail_cutoff(x, 1e-9))
-    assert log_gf(spec, x, tail_tol=1e-9) == _scalar_log_gf(parts, x)
+    parts = enumerate_parts(spec, _tail_cutoff(x, tail_tol))
+    assert log_gf(spec, x, tail_tol=tail_tol) == _scalar_log_gf(parts, x)
 
 
 def _straddle(a, ulps):
@@ -411,6 +417,15 @@ def test_log_gf_on_the_primes_holds_only_the_sieve_flags(monkeypatch):
         tracemalloc.stop()
     # one flag byte per integer; a list of its 14000 primes alone is more
     assert peak < 400_000
+
+
+def test_log_gf_drops_a_part_too_large_for_a_float():
+    # exp(-a * t) is 0.0 far below a = 10**400, whose a * t would overflow
+    huge = FiniteParts((1, 10 ** 400))
+    for x in (0.5, 1 - 2.0 ** -30, 5e-324):
+        for tail_tol in (0, 1e-9):
+            assert log_gf(huge, x, tail_tol=tail_tol).hex() == log_gf(
+                FiniteParts((1,)), x, tail_tol=tail_tol).hex()
 
 
 def test_log_gf_with_no_part_below_the_cutoff():
@@ -504,6 +519,9 @@ def test_tauberian_probe_validation():
         tauberian_probe(AllParts(), 1, [100, 50])
     with pytest.raises(ValueError, match="ints"):
         tauberian_probe(AllParts(), 1.0, [2.5, 3.9])
+    for grid in BAD_GRIDS:
+        with pytest.raises(ValueError, match=GRID_RULE):
+            tauberian_probe(AllParts(), 1, grid)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             tauberian_probe(AllParts(), bad, [100])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import BAD_GRIDS, GRID_RULE
 from partgrowth import partsets
 from partgrowth.partsets import (AllParts, CofiniteTail, FiniteParts,
                                  PartFileError, PrimeParts, ResidueParts,
@@ -149,6 +150,9 @@ def test_finite_validation():
         FiniteParts((2, 2))
     with pytest.raises(ValueError):
         FiniteParts((0, 1))
+    for parts in BAD_GRIDS:
+        with pytest.raises(ValueError, match=GRID_RULE):
+            FiniteParts(parts)
 
 
 def test_residue_validation():
@@ -158,6 +162,9 @@ def test_residue_validation():
         ResidueParts(0, (1,))
     with pytest.raises(ValueError):
         ResidueParts(4, ())
+    for residues in BAD_GRIDS:
+        with pytest.raises(ValueError, match=GRID_RULE):
+            ResidueParts(4, residues)
 
 
 def test_cofinite_validation():
@@ -354,6 +361,9 @@ def test_density_profile_grid_validation():
     # int() would probe the truncated points 20 and 30 without a word
     for grid in ([20.5, 30.9], [10, 20.0], [Fraction(21, 2)]):
         with pytest.raises(ValueError, match="ints"):
+            density_profile(AllParts(), grid)
+    for grid in BAD_GRIDS:
+        with pytest.raises(ValueError, match=GRID_RULE):
             density_profile(AllParts(), grid)
 
 
