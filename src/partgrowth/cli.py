@@ -38,9 +38,9 @@ from .asymptotics import (arithmetic_progression_probe, density_growth_probe,
                           finite_set_leading_ratio, growth_ratio_series)
 from .counting import (check_cofinite_monotonicity, check_shift_monotonicity,
                        check_window_max, partition_table, pentagonal_table)
-from .genfun import (abelian_density_target, abelian_probe,
-                     log_gf, log_gf_coefficients, mobius_invert_sums,
-                     tauberian_probe)
+from .genfun import (_validate_x_grid, abelian_density_target,
+                     abelian_probe, log_gf, log_gf_coefficients,
+                     mobius_invert_sums, tauberian_probe)
 from .partsets import (AllParts, CofiniteTail, FiniteParts, PrimeParts,
                        ResidueParts, _validate_increasing, counting_function,
                        density_profile, enumerate_parts, load_part_file)
@@ -148,13 +148,9 @@ def parse_x_grid(text):
         return tuple(1.0 - 2.0 ** -k for k in range(k1, k2 + 1))
     if text.startswith("list:"):
         text = text[5:]
-    if not text:
-        raise ValueError("empty x grid")
-    values = tuple(_float_token(t, "x grid point") for t in text.split(","))
-    if any(not 0.0 < x < 1.0 for x in values):
-        raise ValueError(f"x grid values must lie in (0, 1): {text!r}")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ValueError(f"x grid must be strictly increasing: {text!r}")
+    values = tuple(_float_token(t, "x grid point")
+                   for t in text.split(",")) if text else ()
+    _validate_x_grid(values)
     return values
 
 

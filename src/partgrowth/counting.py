@@ -41,8 +41,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional
 
-from .partsets import (AllParts, CofiniteTail, PartSetSpec, ResidueParts,
-                       enumerate_parts, iter_parts)
+from .partsets import (AllParts, CofiniteTail, FiniteParts, PartSetSpec,
+                       ResidueParts, enumerate_parts, iter_parts)
 
 # Direct enumeration is exponential; keep it to oracle-sized inputs.
 BRUTEFORCE_LIMIT = 40
@@ -79,7 +79,6 @@ def table_from_parts(parts, limit, spec=None) -> PartitionTable:
         for n in range(a, limit + 1):
             values[n] += values[n - a]
     if spec is None:
-        from .partsets import FiniteParts
         spec = FiniteParts(tuple(sorted(parts)))
     return PartitionTable(spec=spec, limit=limit, values=tuple(values))
 

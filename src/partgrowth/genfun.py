@@ -15,15 +15,16 @@ counting function A(x) of the set:
 Everything on this side is exact.  Since b_l = sigma_A(l) / l with
 sigma_A(l) the sum of the members of A that divide l, the series stores
 the ints sigma_A(l) alone; its Fraction coefficients and prefix sums
-are views of them, and so are its integer forms cleared over
-D = lcm(1..limit) and L = lcm(1..isqrt(limit)), which are ints because
-D and L divide every index they meet.  Both identities split their sum
-at r = isqrt(n) by Dirichlet's hyperbola method: each k <= r is one
-term, and _blocks groups the k > r by their constant v = n // k <= r.  So
-each inversion product pairs a D-sized int with a small one, and the
-divisor sum's k <= r terms are small ints.  The inversion raises if its
-total leaves a remainder modulo D*L, and the divisor sum if a run of
-D/k does.
+are views of them, and so are the counts A(n) that the inversion reads.
+Summed over the pairs k * l <= n, the inversion is Dirichlet's
+convolution sum_{a <= n} (mu * sigma_A)(a) / a, and (mu * sigma_A)(a) is
+a * 1_A(a), so one subtractive sieve undoes sigma_A, with no lcm.  Only
+the divisor sum still splits at r = isqrt(n) by Dirichlet's hyperbola
+method: each k <= r is one term over L = lcm(1..r), and _blocks groups
+the k > r by their constant v = n // k <= r, whose runs of D/k, with
+D = lcm(1..n), are summed exactly.  The divisor sum raises if a run of
+D/k leaves a remainder, and the inversion if a term (mu * sigma_A)(a) / a
+is not an int.
 
 log_gf evaluates log F(x) in floating point for 0 < x < 1 with a proven
 truncation bound, streaming the parts of every set to one cutoff and
@@ -45,8 +46,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, islice, repeat
-from operator import floordiv, mul, neg
+from itertools import accumulate, chain, repeat, takewhile
+from operator import floordiv, mul, neg, sub
 
 from .partsets import (FiniteParts, PartSetSpec, _validate_increasing,
                        counting_function, iter_parts, primes_upto)
@@ -102,7 +103,8 @@ class CoefficientSeries:
 
     sigma[l] is the sum of the members of A that divide l (sigma[0] = 0),
     and b_l = sigma[l] / l.  coeffs (b_0..b_limit, b_0 = 0) and sums
-    (the prefix totals S(0..limit)) are exact Fraction views of it.
+    (the prefix totals S(0..limit)) are exact Fraction views of it, and
+    _counts the counting function A(n) that mobius_invert_sums reads.
     """
 
     spec: PartSetSpec
@@ -116,28 +118,26 @@ class CoefficientSeries:
 
     @cached_property
     def sums(self) -> tuple[Fraction, ...]:
-        # streamed, not read from _cleared, so that the prefix sums alone
-        # never build the inversion's D-sized tuples
         D = _lcm_upto(max(self.limit, 1))
         return tuple(Fraction(x, D) for x in _cleared_prefix(D, self.sigma))
 
     @cached_property
-    def _cleared(self):
-        """(D, L, D*S(v), prefix sums of mu(k) * D/k, mu(k) * L/k for
-        k <= R, L*S(v) for v <= R) with D = lcm(1..limit), L = lcm(1..R)
-        and R = isqrt(limit), from one sieve of mu.
+    def _counts(self) -> tuple[int, ...]:
+        """A(0..m-1), where m is the first a with f(a) % a != 0 (limit + 1
+        when there is none) and f = mu * sigma.
 
-        D divides every l <= limit and L every l <= R, so each value is an
-        int built from sigma without a Fraction.
+        A subtractive sieve undoes sigma(l) = sum_{a | l} f(a): taking a in
+        ascending order, f[a] is final once every smaller divisor has been
+        subtracted, and is then subtracted from 2a, 3a, ...  That is
+        O(limit * log limit) small-int steps, with no lcm and no mu.  For a
+        true series f(a) = a * 1_A(a), so A(n) = sum_{a <= n} f(a) / a.
         """
-        D = _lcm_upto(max(self.limit, 1))
-        R = math.isqrt(self.limit)
-        L = _lcm_upto(max(R, 1))
-        mu = mobius_sieve(self.limit)
-        mu_l = (0,) + tuple(mu[k] * (L // k) for k in range(1, R + 1))
-        return (D, L, tuple(_cleared_prefix(D, self.sigma)),
-                tuple(_cleared_prefix(D, mu)), mu_l,
-                tuple(islice(_cleared_prefix(L, self.sigma), R + 1)))
+        f = list(self.sigma)
+        for a in range(1, self.limit // 2 + 1):
+            if f[a]:
+                f[2 * a::a] = map(sub, f[2 * a::a], repeat(f[a]))
+        whole = takewhile(lambda a: f[a] % a == 0, range(1, self.limit + 1))
+        return tuple(accumulate((f[a] // a for a in whole), initial=0))
 
 
 def _cleared_prefix(m, values):
@@ -250,33 +250,25 @@ def mobius_invert_sums(series, n) -> int:
     """Recover A(n) from the prefix sums of `series` by Mobius inversion.
 
     Exact: equals counting_function(series.spec, n) whenever n is within
-    the series limit.  Dirichlet's hyperbola method splits the sum at
-    r = isqrt(n), so each product has one D-sized factor and one small:
+    the series limit.  The sum A(n) = sum_k mu(k)/k * S(n // k), taken in
+    the other order over the pairs k * l <= n, is Dirichlet's convolution:
 
-        D*L*A(n) = sum_{k <= r} D*S(n // k) * (mu(k) * L/k)
-                 + sum over blocks [k1, k2] of k > r with v = n // k <= r
-                       of L*S(v) * (D*M(k2) - D*M(k1 - 1)),
+        sum_k (mu(k)/k) * S(n // k) = sum_{a <= n} (mu * sigma)(a) / a,
 
-    where M(k) = sum_{j <= k} mu(j)/j and every factor comes from
-    series._cleared.  Every factor is an int, so one exactness check
-    guards it: the total must divide by D*L.  A remainder raises
-    ArithmeticError, which no true log-series allows; it catches a sigma
-    that comes from no part set.
+    and (mu * sigma)(a) = a * 1_A(a).  So A(n) is a lookup in
+    series._counts, which undoes sigma by one sieve.  Each term f(a) / a
+    must be an int; from the first a where it is not, every n >= a
+    raises ArithmeticError, which no true log-series allows: it catches a
+    sigma that comes from no part set.  This check of every term is at
+    least as strict as one of the total, and what it returns is the
+    rational sum itself.
     """
     if not 1 <= n <= series.limit:
         raise ValueError(f"n={n} outside series range [1, {series.limit}]")
-    D, L, scaled, weighted, mu_l, l_sums = series._cleared
-    r = math.isqrt(n)
-    total = 0
-    for k in range(1, r + 1):
-        if mu_l[k]:
-            total += scaled[n // k] * mu_l[k]
-    for v, k1, k2 in _blocks(n, r + 1):
-        total += l_sums[v] * (weighted[k2] - weighted[k1 - 1])
-    count, rem = divmod(total, D * L)
-    if rem:
+    counts = series._counts
+    if n >= len(counts):
         raise ArithmeticError(f"inversion at n={n} is not an integer")
-    return count
+    return counts[n]
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +355,20 @@ def log_gf(spec, x, *, tail_tol=1e-9) -> float:
 # Probes
 # ---------------------------------------------------------------------------
 
+def _validate_x_grid(xs):
+    """The one rule for x-grids: a nonempty, strictly increasing sequence
+    of floats in (0, 1).  NaN lies in no interval, so it is refused."""
+    if not xs:
+        raise ValueError("x grid must be nonempty")
+    for x in xs:
+        if not 0.0 < x < 1.0:
+            raise ValueError(f"x grid must lie in (0, 1), got {x}")
+    for a, b in zip(xs, xs[1:]):
+        if b <= a:
+            raise ValueError(
+                f"x grid must be strictly increasing, got {a} before {b}")
+
+
 def abelian_probe(spec, density, x_grid, *, rel_tol=0.02, tail_tol=1e-9,
                   band=None) -> ProbeReport:
     """Sample (1-x) log F(x) on an x-grid rising toward 1.
@@ -374,10 +380,7 @@ def abelian_probe(spec, density, x_grid, *, rel_tol=0.02, tail_tol=1e-9,
     absolute ceiling: band [0, rel_tol].
     """
     xs = tuple(float(x) for x in x_grid)
-    if not xs or any(b <= a for a, b in zip(xs, xs[1:])):
-        raise ValueError(f"x grid must be strictly increasing: {xs}")
-    if not all(0.0 < x < 1.0 for x in xs):
-        raise ValueError(f"x grid must lie in (0, 1): {xs}")
+    _validate_x_grid(xs)
     target = abelian_density_target(density)
     lo, hi = ((float(band[0]), float(band[1])) if band is not None
               else default_band(target, rel_tol))

@@ -6,6 +6,11 @@ import sys
 BAD_GRIDS = ([], [0], [2, 2], [3, 1], [1.0])
 #: The messages of that rule, one per kind of refusal.
 GRID_RULE = "must be nonempty|must be >= 1|strictly increasing|expected an int"
+#: x-grids that the one x-grid rule (genfun._validate_x_grid) refuses:
+#: empty, on or past either end of (0, 1), a repeat and a descent.
+BAD_X_GRIDS = ([], [0.0], [1.0], [-0.5], [0.5, 1.5], [0.5, 0.5], [0.9, 0.5])
+#: The messages of that rule, one per kind of refusal.
+X_GRID_RULE = "must be nonempty|must lie in \\(0, 1\\)|strictly increasing"
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

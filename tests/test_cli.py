@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from conftest import BAD_GRIDS
+from conftest import BAD_GRIDS, BAD_X_GRIDS, X_GRID_RULE
 from partgrowth.cli import (CommandRequest, main, parse_band, parse_grid,
                             parse_set_spec, parse_x_grid)
 from partgrowth.partsets import (AllParts, CofiniteTail, FiniteParts,
@@ -116,6 +116,9 @@ def test_parse_x_grid_errors():
         parse_x_grid("")
     with pytest.raises(ValueError, match="not a finite"):
         parse_x_grid("0.5,nan")
+    for grid in BAD_X_GRIDS:
+        with pytest.raises(ValueError, match=X_GRID_RULE):
+            parse_x_grid(",".join(map(repr, grid)))
     # past k = 53, 1 - 2^-k rounds to 1.0: refused before any x is built
     for text in ("pow2:54", "pow2:1:54"):
         with pytest.raises(ValueError, match="K2 <= 53"):

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import BAD_GRIDS, GRID_RULE
+from conftest import BAD_GRIDS, BAD_X_GRIDS, GRID_RULE, X_GRID_RULE
 from partgrowth import genfun, partsets
-from partgrowth.cli import parse_grid
+from partgrowth.cli import main, parse_grid
 from partgrowth.genfun import (CoefficientSeries, abelian_density_target,
                                abelian_probe, log_gf, log_gf_coefficients,
                                mobius_invert_sums, mobius_sieve,
@@ -211,10 +211,10 @@ def test_inversion_range():
         mobius_invert_sums(series, 0)
 
 
-def _with_sigma_bumped(series, l):
-    """series with sigma(l) one larger: a sigma that comes from no set."""
+def _with_sigma_bumped(series, l, by=1):
+    """series with sigma(l) larger by `by`: a sigma that comes from no set."""
     sigma = list(series.sigma)
-    sigma[l] += 1
+    sigma[l] += by
     return CoefficientSeries(series.spec, series.limit, tuple(sigma))
 
 
@@ -249,8 +249,9 @@ def test_split_inversion_matches_definition_and_counting(spec, limit):
 
 @pytest.mark.parametrize("spec", ROUND_TRIP_FAMILY, ids=str)
 def test_split_inversion_at_the_square_root_boundaries(spec):
-    # r = isqrt(n) moves at r^2; r^2 - 1 and r^2 + 2r are the last n of
-    # the previous and of the current r
+    # the sieve splits nothing at isqrt(n); these n, where a split at
+    # r = isqrt(n) would move (r^2 - 1, r^2, r^2 + 2r), stay as plain
+    # round-trip points
     series = log_gf_coefficients(spec, 44 * 44 + 2 * 44)
     for r in (1, 2, 3, 7, 31, 44):
         for n in (r * r - 1, r * r, r * r + 2 * r):
@@ -260,14 +261,48 @@ def test_split_inversion_at_the_square_root_boundaries(spec):
 
 
 def test_split_inversion_checks_the_total_past_the_square_root():
-    # sigma(10) = 2 gives b_10 = 1/5 for 1/10: S(v) changes only for
-    # v >= 10 > r = 3, so n = 12 reaches it through D*S(12) with k = 1 alone
+    # sigma(10) = 2 gives f(10) = (mu * sigma)(10) = 1, not a multiple of
+    # 10: the sieve's first broken term is a = 10, so n < 10 still invert
+    # and every n >= 10, 12 included, raises
     broken = _with_sigma_bumped(log_gf_coefficients(FiniteParts((1,)), 30),
                                 10)
     for n in range(1, 10):
         assert mobius_invert_sums(broken, n) == 1
     with pytest.raises(ArithmeticError, match="n=12 is not an integer"):
         mobius_invert_sums(broken, 12)
+
+
+def test_inversion_returns_the_rational_sum_of_whole_terms():
+    # sigma(3) = 4 gives f(3) = 3 = 3 * 1: a whole term from no set, so
+    # the inversion counts 3 as a part, exactly as the plain sum does,
+    # until f(6) = sigma(6) - f(1) - f(3) = -3 breaks at n = 6
+    broken = _with_sigma_bumped(log_gf_coefficients(FiniteParts((1,)), 12),
+                                3, by=3)
+    for n, count in ((1, 1), (2, 1), (3, 2), (4, 2), (5, 2)):
+        assert mobius_invert_sums(broken, n) == count
+        assert _inversion_by_definition(broken, n) == count
+    assert _inversion_by_definition(broken, 6) == Fraction(3, 2)
+    with pytest.raises(ArithmeticError, match="n=6 is not an integer"):
+        mobius_invert_sums(broken, 6)
+
+
+@settings(max_examples=12, deadline=None)
+@given(spec=PART_SETS)
+def test_inversion_needs_no_lcm_and_no_mu(spec):
+    series = log_gf_coefficients(spec, 400)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(genfun, "_lcm_upto", None)     # any call would fail
+        mp.setattr(genfun, "mobius_sieve", None)
+        for n in range(1, 401):
+            assert mobius_invert_sums(series, n) == counting_function(
+                spec, n), (spec, n)
+
+
+def test_invert_reaches_20000_without_lcm_or_mu(monkeypatch, capsys):
+    monkeypatch.setattr(genfun, "_lcm_upto", None)  # any call would fail
+    monkeypatch.setattr(genfun, "mobius_sieve", None)
+    assert main(["invert", "--set", "all", "--limit", "20000"]) == 0
+    assert '"note": "exact match at all n <= 20000"' in capsys.readouterr().out
 
 
 # -- float evaluation -------------------------------------------------------
@@ -483,6 +518,9 @@ def test_abelian_probe_grid_validation():
         abelian_probe(AllParts(), 1, [0.9, 0.5])
     with pytest.raises(ValueError):
         abelian_probe(AllParts(), 1, [0.5, 1.5])
+    for grid in BAD_X_GRIDS:
+        with pytest.raises(ValueError, match=X_GRID_RULE):
+            abelian_probe(AllParts(), 1, grid)
 
 
 def test_abelian_probe_rejects_inverted_band():
