@@ -65,11 +65,9 @@ def growth_ratio(count, n) -> Optional[float]:
 def growth_ratio_series(table, grid) -> GrowthSeries:
     """Sample growth_ratio at the grid points, reading counts from `table`."""
     grid = tuple(grid)
-    if not all(isinstance(n, int) for n in grid):
-        raise ValueError(f"grid points must be ints: {grid}")
-    for n in grid:
-        if not 1 <= n <= table.limit:
-            raise ValueError(f"grid point {n} outside table range [1, {table.limit}]")
+    _validate_increasing(grid, "grid")
+    if grid[-1] > table.limit:
+        raise ValueError(f"grid point {grid[-1]} outside table range [1, {table.limit}]")
     ratios = tuple(growth_ratio(table[n], n) for n in grid)
     return GrowthSeries(table.spec, grid, ratios)
 

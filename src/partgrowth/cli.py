@@ -2,8 +2,14 @@
 
 Every subcommand emits one report as CSV or JSON (``--format``) to stdout
 or ``--out PATH``.  Exit status: 0 on success and on probe PASS, 1 on
-probe/check FAIL, 2 on usage or domain errors.  All configuration is by
-flags; no environment variables are read.
+probe/check FAIL, 2 on usage or domain errors.  Every usage or domain
+error, argparse's own included, leaves as one ``error:`` line on stderr
+with nothing on stdout; only ``--help`` prints usage (to stdout, exit 0).
+All configuration is by flags; no environment variables are read.
+
+Parsing is one step: CommandRequest.from_argv runs argparse and then
+turns each flag's text into its value once, through _CONVERTERS.  The
+handlers only compute; the rules that tie flags together stay in them.
 
 The output format lives here and nowhere else.  The result types of the
 other modules are plain data and do not serialise themselves: each
@@ -69,10 +75,10 @@ def _float_token(token, what):
     return value
 
 
-def parse_set_spec(text):
+def parse_set_spec(text, what="set"):
     """Parse the part-set mini-language into a spec object."""
     if not text:
-        raise ValueError("empty set spec")
+        raise ValueError(f"empty {what} spec")
     tag, _, payload = text.partition(":")
     if tag == "all":
         if payload:
@@ -103,22 +109,22 @@ def parse_set_spec(text):
             raise ValueError("file spec needs a path: file:PATH")
         return load_part_file(payload)
     raise ValueError(
-        f"unknown set spec tag {tag!r} (expected all|finite|mod|cofinite|primes|file)")
+        f"unknown {what} spec tag {tag!r} (expected all|finite|mod|cofinite|primes|file)")
 
 
-def parse_grid(text):
+def parse_grid(text, what="grid"):
     """Integer grid: 'geo:start:stop:factor', 'list:n1,n2,...', or bare list."""
     if text.startswith("geo:"):
         fields = text[4:].split(":")
         if len(fields) != 3:
             raise ValueError(f"geometric grid needs geo:start:stop:factor, got {text!r}")
-        start = _int_token(fields[0], "grid start")
-        stop = _int_token(fields[1], "grid stop")
-        factor = _float_token(fields[2], "grid factor")
+        start = _int_token(fields[0], f"{what} start")
+        stop = _int_token(fields[1], f"{what} stop")
+        factor = _float_token(fields[2], f"{what} factor")
         if start < 1 or stop < start:
             raise ValueError(f"need 1 <= start <= stop, got {start}, {stop}")
         if factor <= 1.0:
-            raise ValueError(f"grid factor must exceed 1, got {factor}")
+            raise ValueError(f"{what} factor must exceed 1, got {factor}")
         values = [start]
         v = start
         while v < stop:
@@ -128,13 +134,13 @@ def parse_grid(text):
     if text.startswith("list:"):
         text = text[5:]
     if not text:
-        raise ValueError("empty grid")
-    values = tuple(_int_token(t, "grid point") for t in text.split(","))
-    _validate_increasing(values, "grid")
+        raise ValueError(f"empty {what}")
+    values = tuple(_int_token(t, f"{what} point") for t in text.split(","))
+    _validate_increasing(values, what)
     return values
 
 
-def parse_x_grid(text):
+def parse_x_grid(text, what="xs"):
     """x grid in (0,1): 'pow2:K1[:K2]' for 1 - 2^-k, or a float list."""
     if text.startswith("pow2:"):
         fields = text[5:].split(":")
@@ -148,19 +154,19 @@ def parse_x_grid(text):
         return tuple(1.0 - 2.0 ** -k for k in range(k1, k2 + 1))
     if text.startswith("list:"):
         text = text[5:]
-    values = tuple(_float_token(t, "x grid point")
+    values = tuple(_float_token(t, what)
                    for t in text.split(",")) if text else ()
     _validate_x_grid(values)
     return values
 
 
-def parse_band(text):
+def parse_band(text, what="band"):
     fields = text.split(",")
     if len(fields) != 2:
-        raise ValueError(f"band is lo,hi, got {text!r}")
-    lo, hi = (_float_token(t, "band") for t in fields)
+        raise ValueError(f"{what} is lo,hi, got {text!r}")
+    lo, hi = (_float_token(t, what) for t in fields)
     if hi < lo:
-        raise ValueError(f"band must have lo <= hi, got {text!r}")
+        raise ValueError(f"{what} must have lo <= hi, got {text!r}")
     return lo, hi
 
 
@@ -200,11 +206,16 @@ def _parse_fraction(text, what):
         raise ValueError(f"{what}: not a rational: {text!r}") from None
 
 
-def _parse_int_opt(text, what, minimum):
-    value = _int_token(text, what)
-    if value < minimum:
-        raise ValueError(f"{what} must be >= {minimum}, got {value}")
-    return value
+#: The one parse step turns each flag's text into its value here, calling
+#: the converter with the flag's name, which its error messages show.
+#: --format and --out are not listed and stay text.
+_CONVERTERS = {
+    "set": parse_set_spec, "grid": parse_grid, "xs": parse_x_grid,
+    "band": parse_band, "limit": _int_token, "max-shift": _int_token,
+    "alpha": _parse_fraction, "beta": _parse_fraction,
+    "density": _parse_fraction, "rel-tol": _float_token,
+    "tail-tol": _float_token, "target": _float_token,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -213,38 +224,39 @@ def _parse_int_opt(text, what, minimum):
 
 @dataclass(frozen=True)
 class CommandRequest:
-    """A parsed invocation: the subcommand and a dict of the flags given.
+    """A parsed invocation: the subcommand and a dict from each flag given
+    (defaults count as given) to its value, converted by _CONVERTERS: a
+    spec, a grid tuple, an int, a float or a _FlagRational.
 
     It is a class of its own so that parsing is one named step:
     perfbench/spans.py wraps from_argv to time it as cli.parse_s.
     """
 
     command: str
-    options: dict[str, str]
+    options: dict[str, object]
 
     @classmethod
     def from_argv(cls, argv):
         ns = build_parser().parse_args(argv)
+        flags = {key.replace("_", "-"): text for key, text in vars(ns).items()
+                 if key != "command" and text is not None}
         return cls(command=ns.command, options={
-            key.replace("_", "-"): value for key, value in vars(ns).items()
-            if key != "command" and value is not None})
+            flag: _CONVERTERS[flag](text, flag) if flag in _CONVERTERS else text
+            for flag, text in flags.items()})
 
 
 def _emit(opts, obj, columns):
     """Write obj as JSON, or as CSV: the keys of columns as the header row,
     then one row per position of its equal-length cell sequences."""
-    fmt = opts["format"]
-    if fmt == "json":
+    if opts["format"] == "json":
         # allow_nan=False: a NaN or infinity in a report is a bug, not JSON
         text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
-    elif fmt == "csv":
+    else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows(zip(*columns.values()))
         text = buf.getvalue()
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
     path = opts.get("out")
     if path:
         with open(path, "w", encoding="utf-8") as fp:
@@ -270,19 +282,16 @@ def _table_exit(opts, table):
 
 
 def _cmd_table(opts):
-    spec = parse_set_spec(opts["set"])
-    limit = _parse_int_opt(opts["limit"], "limit", 0)
-    return _table_exit(opts, partition_table(spec, limit))
+    return _table_exit(opts, partition_table(opts["set"], opts["limit"]))
 
 
 def _cmd_pentagonal(opts):
-    limit = _parse_int_opt(opts["limit"], "limit", 0)
-    return _table_exit(opts, pentagonal_table(limit))
+    return _table_exit(opts, pentagonal_table(opts["limit"]))
 
 
 def _cmd_density(opts):
-    spec = parse_set_spec(opts["set"])
-    profile = density_profile(spec, parse_grid(opts["grid"]))
+    spec = opts["set"]
+    profile = density_profile(spec, opts["grid"])
     obj = {
         "set": str(spec),
         "grid": list(profile.grid),
@@ -298,8 +307,7 @@ def _cmd_density(opts):
 
 
 def _cmd_ratio(opts):
-    spec = parse_set_spec(opts["set"])
-    grid = parse_grid(opts["grid"])
+    spec, grid = opts["set"], opts["grid"]
     series = growth_ratio_series(partition_table(spec, grid[-1]), grid)
     # an undefined ratio is null in JSON and an empty CSV cell
     obj = {"set": str(spec), "grid": list(grid), "ratios": list(series.ratios)}
@@ -308,8 +316,7 @@ def _cmd_ratio(opts):
 
 
 def _cmd_finite_asym(opts):
-    spec = parse_set_spec(opts["set"])
-    grid = parse_grid(opts["grid"])
+    spec, grid = opts["set"], opts["grid"]
     table = partition_table(spec, grid[-1])
     ratios = [finite_set_leading_ratio(table, n) for n in grid]
     obj = {
@@ -341,33 +348,25 @@ def _probe_exit(opts, report):
 
 
 def _cmd_direct_probe(opts):
-    spec = parse_set_spec(opts["set"])
-    grid = parse_grid(opts["grid"])
-    band = parse_band(opts["band"]) if "band" in opts else None
     report = density_growth_probe(
-        spec, grid,
-        lower_density=_parse_fraction(opts["alpha"], "alpha"),
-        upper_density=_parse_fraction(opts["beta"], "beta"),
-        band=band,
-        rel_tol=_float_token(opts["rel-tol"], "rel-tol"))
+        opts["set"], opts["grid"], lower_density=opts["alpha"],
+        upper_density=opts["beta"], band=opts.get("band"),
+        rel_tol=opts["rel-tol"])
     return _probe_exit(opts, report)
 
 
 def _cmd_arithpro_probe(opts):
-    spec = parse_set_spec(opts["set"])
+    spec = opts["set"]
     if not isinstance(spec, ResidueParts):
         raise ValueError(f"arithpro-probe needs a mod:M:r1,... set, got {spec}")
-    grid = parse_grid(opts["grid"])
-    band = parse_band(opts["band"]) if "band" in opts else None
     report = arithmetic_progression_probe(
-        spec.modulus, spec.residues, grid, band=band,
-        rel_tol=_float_token(opts["rel-tol"], "rel-tol"))
+        spec.modulus, spec.residues, opts["grid"], band=opts.get("band"),
+        rel_tol=opts["rel-tol"])
     return _probe_exit(opts, report)
 
 
 def _cmd_sb(opts):
-    spec = parse_set_spec(opts["set"])
-    limit = _parse_int_opt(opts["limit"], "limit", 1)
+    spec, limit = opts["set"], opts["limit"]
     series = log_gf_coefficients(spec, limit)
     obj = {
         "set": str(spec),
@@ -382,8 +381,7 @@ def _cmd_sb(opts):
 
 
 def _cmd_invert(opts):
-    spec = parse_set_spec(opts["set"])
-    limit = _parse_int_opt(opts["limit"], "limit", 1)
+    spec, limit = opts["set"], opts["limit"]
     series = log_gf_coefficients(spec, limit)
     mismatch = None
     for n in range(1, limit + 1):
@@ -408,15 +406,11 @@ def _cmd_invert(opts):
 
 
 def _cmd_genfun(opts):
-    spec = parse_set_spec(opts["set"])
-    xs = parse_x_grid(opts["xs"])
-    tail_tol = _float_token(opts["tail-tol"], "tail-tol")
+    spec, xs, tail_tol = opts["set"], opts["xs"], opts["tail-tol"]
     if "density" in opts:
-        band = parse_band(opts["band"]) if "band" in opts else None
-        report = abelian_probe(
-            spec, _parse_fraction(opts["density"], "density"), xs,
-            rel_tol=_float_token(opts["rel-tol"], "rel-tol"),
-            tail_tol=tail_tol, band=band)
+        report = abelian_probe(spec, opts["density"], xs,
+                               rel_tol=opts["rel-tol"], tail_tol=tail_tol,
+                               band=opts.get("band"))
         return _probe_exit(opts, report)
     if "band" in opts:
         raise ValueError("--band only applies to probe mode (--density)")
@@ -434,26 +428,22 @@ def _cmd_genfun(opts):
 
 
 def _cmd_tauberian_probe(opts):
-    spec = parse_set_spec(opts["set"])
-    grid = parse_grid(opts["grid"])
-    has_density = "density" in opts
-    has_target = "target" in opts
-    if has_density == has_target:
+    if ("density" in opts) == ("target" in opts):
         raise ValueError("provide exactly one of --density and --target")
-    if has_density:
-        target = abelian_density_target(_parse_fraction(opts["density"], "density"))
+    if "density" in opts:
+        target = abelian_density_target(opts["density"])
     else:
-        target = _float_token(opts["target"], "target")
-    report = tauberian_probe(
-        spec, target, grid,
-        rel_tol=_float_token(opts["rel-tol"], "rel-tol"))
+        target = opts["target"]
+    report = tauberian_probe(opts["set"], target, opts["grid"],
+                             rel_tol=opts["rel-tol"])
     return _probe_exit(opts, report)
 
 
 def _cmd_check_lemmas(opts):
-    spec = parse_set_spec(opts["set"])
-    limit = _parse_int_opt(opts["limit"], "limit", 1)
-    max_shift = _parse_int_opt(opts["max-shift"], "max-shift", 1)
+    spec, limit, max_shift = opts["set"], opts["limit"], opts["max-shift"]
+    for flag, value in (("limit", limit), ("max-shift", max_shift)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     table = partition_table(spec, limit)
     members = enumerate_parts(spec, limit)
     if not members:
@@ -506,8 +496,17 @@ def _add_common(sp, *, fmt_default):
     sp.add_argument("--out", help="write the report to PATH instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors (a missing or unknown flag, a
+    bad --format, an unknown subcommand) raise ValueError, so they leave
+    through main's one error line like every other refusal."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="partgrowth",
         description="Exact restricted-partition tables, density data, and "
                     "finite-scale growth probes.")
@@ -602,20 +601,15 @@ def build_parser():
 
 def run(request) -> int:
     """Execute a parsed request; returns the process exit code."""
-    handler = _HANDLERS.get(request.command)
-    if handler is None:
-        raise ValueError(f"unknown subcommand {request.command!r}")
-    return handler(request.options)
+    return _HANDLERS[request.command](request.options)
 
 
 def main(argv=None) -> int:
     try:
-        request = CommandRequest.from_argv(
-            sys.argv[1:] if argv is None else list(argv))
-    except SystemExit as exc:  # argparse: 2 on usage error, 0 on --help
+        return run(CommandRequest.from_argv(
+            sys.argv[1:] if argv is None else list(argv)))
+    except SystemExit as exc:  # --help: usage went to stdout
         return int(exc.code or 0)
-    try:
-        return run(request)
     except (ValueError, LookupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,6 @@
 """Command-line surface: parsing, dispatch, exit codes, serialization."""
 
+import argparse
 import csv
 import io
 import json
@@ -8,12 +9,14 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from conftest import BAD_GRIDS, BAD_X_GRIDS, X_GRID_RULE
-from partgrowth.cli import (CommandRequest, main, parse_band, parse_grid,
-                            parse_set_spec, parse_x_grid)
+from partgrowth.cli import (_HANDLERS, CommandRequest, build_parser, main,
+                            parse_band, parse_grid, parse_set_spec,
+                            parse_x_grid)
 from partgrowth.partsets import (AllParts, CofiniteTail, FiniteParts,
                                  PrimeParts, ResidueParts)
 
@@ -144,10 +147,24 @@ def test_request_options_are_the_given_flags():
         ["direct-probe", "--set", "mod:2:1", "--grid", "100,200",
          "--alpha", "1/2", "--beta", "1/2"])
     assert request.command == "direct-probe"
-    # defaults count as given; flags without a value or default are absent
+    # each flag is converted once, defaults included; flags without a
+    # value or default are absent, and --format stays text
     assert request.options == {
-        "set": "mod:2:1", "grid": "100,200", "alpha": "1/2", "beta": "1/2",
-        "rel-tol": "0.10", "format": "json"}
+        "set": ResidueParts(2, (1,)), "grid": (100, 200),
+        "alpha": Fraction(1, 2), "beta": Fraction(1, 2), "rel-tol": 0.1,
+        "format": "json"}
+    assert str(request.options["alpha"]) == "1/2"
+
+
+def test_every_subcommand_has_a_handler(capsys):
+    parser = build_parser()
+    (commands,) = [action.choices for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    assert set(commands) == set(_HANDLERS)
+    for name in commands:
+        assert main([name, "--help"]) == 0, name
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: partgrowth " + name) and err == ""
 
 
 # -- subcommands ------------------------------------------------------------
@@ -492,8 +509,34 @@ def test_usage_errors_exit_2(capsys):
                         capsys=capsys)
     assert code == 2
     assert "residue 5 exceeds modulus 4" in err
-    # out-of-range numbers: one line on stderr, nothing on stdout
+    # every refusal, argparse's included: one line on stderr, nothing on
+    # stdout
     for argv, message in [
+        (["table", "--limit", "5"], "required: --set"),
+        (["table", "--set", "all", "--limit", "5", "--bogus", "1"],
+         "unrecognized arguments: --bogus 1"),
+        (["table", "--set", "all", "--limit", "5", "--format", "xml"],
+         "invalid choice: 'xml'"),
+        (["no-such-command"], "invalid choice: 'no-such-command'"),
+        (["table", "--set", "all", "--limit", "-1"], "limit must be >= 0, got -1"),
+        (["check-lemmas", "--set", "all", "--limit", "0"],
+         "limit must be >= 1, got 0"),
+        (["check-lemmas", "--set", "all", "--max-shift", "0"],
+         "max-shift must be >= 1, got 0"),
+        (["direct-probe", "--set", "all", "--grid", "10", "--alpha", "1/0",
+          "--beta", "1"], "alpha: not a rational: '1/0'"),
+        (["genfun", "--set", "all", "--xs", "0.5", "--density", "x"],
+         "density: not a rational: 'x'"),
+        (["direct-probe", "--set", "all", "--grid", "10", "--alpha", "1",
+          "--beta", "1", "--rel-tol", "x"], "rel-tol: not a number: 'x'"),
+        (["table", "--set", "primes:3", "--limit", "5"],
+         "unexpected payload after 'primes'"),
+        (["table", "--set", "file:", "--limit", "5"], "file spec needs a path"),
+        (["genfun", "--set", "all", "--xs", "pow2:1:2:3"],
+         "pow2 grid is pow2:K1[:K2]"),
+        (["check-lemmas", "--set", "cofinite:600", "--limit", "500"],
+         "no member of cofinite:600 within limit 500"),
+        # out-of-range numbers
         (["density", "--set", "all", "--grid", "geo:1:10:inf"], "not a finite"),
         (["genfun", "--set", "all", "--xs", "0.5", "--tail-tol", "inf"],
          "not a finite"),
