@@ -81,21 +81,25 @@ class LeadingRatio(NamedTuple):
     value: float
 
 
+def _validate_leading_ratio_set(spec):
+    """Refuse a set with no leading ratio: it must be finite with gcd 1 (a
+    set with common divisor d > 1 is divided through by d first)."""
+    if not isinstance(spec, FiniteParts):
+        raise ValueError(f"leading ratio needs a finite part set, got {spec}")
+    g = math.gcd(*spec.parts)
+    if g != 1:
+        raise ValueError(
+            f"part set has common divisor {g}; normalize by the gcd first")
+
+
 def finite_set_leading_ratio(table, n) -> LeadingRatio:
     """p_A(n) * (k-1)! * (product of parts) / n^(k-1), exactly.
 
     Defined for finite part sets with gcd 1 (k = number of parts); the
-    ratio tends to 1 as n grows.  Sets with a common divisor d > 1 must be
-    divided through by d first.
+    ratio tends to 1 as n grows.
     """
-    spec = table.spec
-    if not isinstance(spec, FiniteParts):
-        raise ValueError(f"leading ratio needs a finite part set, got {spec}")
-    parts = spec.parts
-    g = math.gcd(*parts)
-    if g != 1:
-        raise ValueError(
-            f"part set has common divisor {g}; normalize by the gcd first")
+    _validate_leading_ratio_set(table.spec)
+    parts = table.spec.parts
     if not 1 <= n <= table.limit:
         raise ValueError(f"n={n} outside table range [1, {table.limit}]")
     k = len(parts)

@@ -7,9 +7,11 @@ error, argparse's own included, leaves as one ``error:`` line on stderr
 with nothing on stdout; only ``--help`` prints usage (to stdout, exit 0).
 All configuration is by flags; no environment variables are read.
 
-Parsing is one step: CommandRequest.from_argv runs argparse and then
-turns each flag's text into its value once, through _CONVERTERS.  The
-handlers only compute; the rules that tie flags together stay in them.
+Each flag is declared once, in _FLAGS, and each subcommand once, in
+_COMMANDS; build_parser and _HANDLERS are read off them.  Parsing is one
+step: CommandRequest.from_argv runs argparse and then turns each flag's
+text into its value once, through _FLAGS.  The handlers only compute;
+the rules that tie flags together stay in them.
 
 The output format lives here and nowhere else.  The result types of the
 other modules are plain data and do not serialise themselves: each
@@ -39,8 +41,10 @@ import re
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .asymptotics import (arithmetic_progression_probe, density_growth_probe,
+from .asymptotics import (_validate_leading_ratio_set,
+                          arithmetic_progression_probe, density_growth_probe,
                           finite_set_leading_ratio, growth_ratio_series)
 from .counting import (check_cofinite_monotonicity, check_shift_monotonicity,
                        check_window_max, partition_table, pentagonal_table)
@@ -80,14 +84,10 @@ def parse_set_spec(text, what="set"):
     if not text:
         raise ValueError(f"empty {what} spec")
     tag, _, payload = text.partition(":")
-    if tag == "all":
+    if tag in ("all", "primes"):
         if payload:
-            raise ValueError(f"unexpected payload after 'all': {payload!r}")
-        return AllParts()
-    if tag == "primes":
-        if payload:
-            raise ValueError(f"unexpected payload after 'primes': {payload!r}")
-        return PrimeParts()
+            raise ValueError(f"unexpected payload after {tag!r}: {payload!r}")
+        return AllParts() if tag == "all" else PrimeParts()
     if tag == "finite":
         if not payload:
             raise ValueError("finite spec needs a part list: finite:a1,a2,...")
@@ -131,8 +131,7 @@ def parse_grid(text, what="grid"):
             v = max(v + 1, round(v * factor))
             values.append(min(v, stop))
         return tuple(values)
-    if text.startswith("list:"):
-        text = text[5:]
+    text = text.removeprefix("list:")
     if not text:
         raise ValueError(f"empty {what}")
     values = tuple(_int_token(t, f"{what} point") for t in text.split(","))
@@ -152,8 +151,7 @@ def parse_x_grid(text, what="xs"):
             # past k = 53, 1 - 2^-k rounds to 1.0
             raise ValueError(f"need 1 <= K1 <= K2 <= 53, got {k1}, {k2}")
         return tuple(1.0 - 2.0 ** -k for k in range(k1, k2 + 1))
-    if text.startswith("list:"):
-        text = text[5:]
+    text = text.removeprefix("list:")
     values = tuple(_float_token(t, what)
                    for t in text.split(",")) if text else ()
     _validate_x_grid(values)
@@ -206,18 +204,6 @@ def _parse_fraction(text, what):
         raise ValueError(f"{what}: not a rational: {text!r}") from None
 
 
-#: The one parse step turns each flag's text into its value here, calling
-#: the converter with the flag's name, which its error messages show.
-#: --format and --out are not listed and stay text.
-_CONVERTERS = {
-    "set": parse_set_spec, "grid": parse_grid, "xs": parse_x_grid,
-    "band": parse_band, "limit": _int_token, "max-shift": _int_token,
-    "alpha": _parse_fraction, "beta": _parse_fraction,
-    "density": _parse_fraction, "rel-tol": _float_token,
-    "tail-tol": _float_token, "target": _float_token,
-}
-
-
 # ---------------------------------------------------------------------------
 # Requests
 # ---------------------------------------------------------------------------
@@ -225,7 +211,7 @@ _CONVERTERS = {
 @dataclass(frozen=True)
 class CommandRequest:
     """A parsed invocation: the subcommand and a dict from each flag given
-    (defaults count as given) to its value, converted by _CONVERTERS: a
+    (defaults count as given) to its value, converted through _FLAGS: a
     spec, a grid tuple, an int, a float or a _FlagRational.
 
     It is a class of its own so that parsing is one named step:
@@ -241,7 +227,7 @@ class CommandRequest:
         flags = {key.replace("_", "-"): text for key, text in vars(ns).items()
                  if key != "command" and text is not None}
         return cls(command=ns.command, options={
-            flag: _CONVERTERS[flag](text, flag) if flag in _CONVERTERS else text
+            flag: _FLAGS[flag][0](text, flag) if flag in _FLAGS else text
             for flag, text in flags.items()})
 
 
@@ -317,6 +303,7 @@ def _cmd_ratio(opts):
 
 def _cmd_finite_asym(opts):
     spec, grid = opts["set"], opts["grid"]
+    _validate_leading_ratio_set(spec)      # before the table is built
     table = partition_table(spec, grid[-1])
     ratios = [finite_set_leading_ratio(table, n) for n in grid]
     obj = {
@@ -383,26 +370,18 @@ def _cmd_sb(opts):
 def _cmd_invert(opts):
     spec, limit = opts["set"], opts["limit"]
     series = log_gf_coefficients(spec, limit)
-    mismatch = None
     for n in range(1, limit + 1):
         recovered = mobius_invert_sums(series, n)
         expected = counting_function(spec, n)
         if recovered != expected:
-            mismatch = (n, recovered, expected)
+            ok, note = False, (f"mismatch at n = {n}: recovered {recovered}, "
+                               f"expected {expected}")
             break
-    if mismatch is None:
-        note = f"exact match at all n <= {limit}"
     else:
-        note = (f"mismatch at n = {mismatch[0]}: recovered {mismatch[1]}, "
-                f"expected {mismatch[2]}")
-    obj = {
-        "set": str(spec),
-        "limit": limit,
-        "ok": mismatch is None,
-        "note": note,
-    }
+        ok, note = True, f"exact match at all n <= {limit}"
+    obj = {"set": str(spec), "limit": limit, "ok": ok, "note": note}
     _emit(opts, obj, {key: [value] for key, value in obj.items()})
-    return 0 if mismatch is None else 1
+    return 0 if ok else 1
 
 
 def _cmd_genfun(opts):
@@ -470,30 +449,82 @@ def _cmd_check_lemmas(opts):
     return 0 if obj["all_ok"] else 1
 
 
-_HANDLERS = {
-    "table": _cmd_table,
-    "pentagonal": _cmd_pentagonal,
-    "density": _cmd_density,
-    "ratio": _cmd_ratio,
-    "finite-asym": _cmd_finite_asym,
-    "direct-probe": _cmd_direct_probe,
-    "arithpro-probe": _cmd_arithpro_probe,
-    "sb": _cmd_sb,
-    "invert": _cmd_invert,
-    "genfun": _cmd_genfun,
-    "tauberian-probe": _cmd_tauberian_probe,
-    "check-lemmas": _cmd_check_lemmas,
+# ---------------------------------------------------------------------------
+# Declarations and parser assembly
+# ---------------------------------------------------------------------------
+
+#: Each flag but --format and --out (which stay text), declared once: its
+#: converter, called with the flag's name for its errors, and its help.
+_FLAGS = {
+    "set": (parse_set_spec, "part-set spec"),
+    "limit": (_int_token, "table limit N"),
+    "grid": (parse_grid, "integer grid"),
+    "xs": (parse_x_grid, "x grid (pow2:K1[:K2] or floats)"),
+    "alpha": (_parse_fraction, "lower density (rational)"),
+    "beta": (_parse_fraction, "upper density (rational)"),
+    "density": (_parse_fraction, "natural density (target pi^2 d/6)"),
+    "target": (_float_token, "explicit target rate"),
+    "band": (parse_band, "override band lo,hi"),
+    "rel-tol": (_float_token, "band half-width"),
+    "tail-tol": (_float_token, "truncation tolerance"),
+    "max-shift": (_int_token, "largest shift to verify"),
 }
 
 
-# ---------------------------------------------------------------------------
-# Parser assembly
-# ---------------------------------------------------------------------------
+class _Command(NamedTuple):
+    handler: object
+    help: str
+    format: str             # the default --format
+    required: tuple         # flags, listed first by --help
+    optional: dict = {}     # flag -> default text, or None for no default
+    helps: dict = {}        # flag -> its help here, in place of _FLAGS's
 
-def _add_common(sp, *, fmt_default):
-    sp.add_argument("--format", choices=("csv", "json"), default=fmt_default,
-                    help=f"output format (default {fmt_default})")
-    sp.add_argument("--out", help="write the report to PATH instead of stdout")
+
+#: Every subcommand, declared once, in --help order.
+_COMMANDS = {
+    "table": _Command(_cmd_table, "exact partition counts p(0..N)", "csv",
+                      ("set", "limit")),
+    "pentagonal": _Command(
+        _cmd_pentagonal, "unrestricted counts via the pentagonal recurrence",
+        "csv", ("limit",)),
+    "density": _Command(_cmd_density, "exact counting ratios A(x)/x on a grid",
+                        "csv", ("set", "grid")),
+    "ratio": _Command(_cmd_ratio, "normalized growth ratios on a grid", "csv",
+                      ("set", "grid")),
+    "finite-asym": _Command(
+        _cmd_finite_asym, "polynomial-law ratio for a finite part set", "csv",
+        ("set", "grid"), helps={"set": "finite part-set spec"}),
+    "direct-probe": _Command(
+        _cmd_direct_probe, "growth-ratio band probe from density targets",
+        "json", ("set", "grid", "alpha", "beta"),
+        {"band": None, "rel-tol": "0.10"}),
+    "arithpro-probe": _Command(
+        _cmd_arithpro_probe,
+        "growth probe for residue classes (target sqrt(l/m))", "json",
+        ("set", "grid"), {"band": None, "rel-tol": "0.10"},
+        helps={"set": "mod:M:r1,... spec"}),
+    "sb": _Command(_cmd_sb, "log-series coefficients and prefix sums", "csv",
+                   ("set", "limit"), helps={"limit": "series limit N"}),
+    "invert": _Command(
+        _cmd_invert,
+        "inversion round-trip check against the counting function", "json",
+        ("set", "limit"), helps={"limit": "check all n <= N"}),
+    "genfun": _Command(
+        _cmd_genfun, "evaluate log of the partition product on an x grid; "
+        "with --density, run the scaled-limit probe", "json", ("set", "xs"),
+        {"tail-tol": "1e-9", "density": None, "band": None, "rel-tol": "0.02"},
+        helps={"density": "natural density: probe (1-x)log F vs pi^2 d/6",
+               "band": "override band lo,hi (probe mode)"}),
+    "tauberian-probe": _Command(
+        _cmd_tauberian_probe, "probe the mean of the log-series coefficients",
+        "json", ("set", "grid"),
+        {"density": None, "target": None, "rel-tol": "0.01"}),
+    "check-lemmas": _Command(
+        _cmd_check_lemmas, "exhaustive monotonicity and window-max checks",
+        "json", ("set",), {"limit": "500", "max-shift": "20"},
+        helps={"limit": "table limit"}),
+}
+_HANDLERS = {name: command.handler for name, command in _COMMANDS.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -511,97 +542,37 @@ def build_parser():
         description="Exact restricted-partition tables, density data, and "
                     "finite-scale growth probes.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("table", help="exact partition counts p(0..N)")
-    sp.add_argument("--set", required=True, help="part-set spec")
-    sp.add_argument("--limit", required=True, help="table limit N")
-    _add_common(sp, fmt_default="csv")
-
-    sp = sub.add_parser("pentagonal",
-                        help="unrestricted counts via the pentagonal recurrence")
-    sp.add_argument("--limit", required=True, help="table limit N")
-    _add_common(sp, fmt_default="csv")
-
-    sp = sub.add_parser("density", help="exact counting ratios A(x)/x on a grid")
-    sp.add_argument("--set", required=True, help="part-set spec")
-    sp.add_argument("--grid", required=True, help="integer grid")
-    _add_common(sp, fmt_default="csv")
-
-    sp = sub.add_parser("ratio", help="normalized growth ratios on a grid")
-    sp.add_argument("--set", required=True, help="part-set spec")
-    sp.add_argument("--grid", required=True, help="integer grid")
-    _add_common(sp, fmt_default="csv")
-
-    sp = sub.add_parser("finite-asym",
-                        help="polynomial-law ratio for a finite part set")
-    sp.add_argument("--set", required=True, help="finite part-set spec")
-    sp.add_argument("--grid", required=True, help="integer grid")
-    _add_common(sp, fmt_default="csv")
-
-    sp = sub.add_parser("direct-probe",
-                        help="growth-ratio band probe from density targets")
-    sp.add_argument("--set", required=True, help="part-set spec")
-    sp.add_argument("--grid", required=True, help="integer grid")
-    sp.add_argument("--alpha", required=True, help="lower density (rational)")
-    sp.add_argument("--beta", required=True, help="upper density (rational)")
-    sp.add_argument("--band", help="override band lo,hi")
-    sp.add_argument("--rel-tol", default="0.10", help="band half-width (default 0.10)")
-    _add_common(sp, fmt_default="json")
-
-    sp = sub.add_parser("arithpro-probe",
-                        help="growth probe for residue classes (target sqrt(l/m))")
-    sp.add_argument("--set", required=True, help="mod:M:r1,... spec")
-    sp.add_argument("--grid", required=True, help="integer grid")
-    sp.add_argument("--band", help="override band lo,hi")
-    sp.add_argument("--rel-tol", default="0.10", help="band half-width (default 0.10)")
-    _add_common(sp, fmt_default="json")
-
-    sp = sub.add_parser("sb", help="log-series coefficients and prefix sums")
-    sp.add_argument("--set", required=True, help="part-set spec")
-    sp.add_argument("--limit", required=True, help="series limit N")
-    _add_common(sp, fmt_default="csv")
-
-    sp = sub.add_parser("invert",
-                        help="inversion round-trip check against the counting function")
-    sp.add_argument("--set", required=True, help="part-set spec")
-    sp.add_argument("--limit", required=True, help="check all n <= N")
-    _add_common(sp, fmt_default="json")
-
-    sp = sub.add_parser("genfun",
-                        help="evaluate log of the partition product on an x grid; "
-                             "with --density, run the scaled-limit probe")
-    sp.add_argument("--set", required=True, help="part-set spec")
-    sp.add_argument("--xs", required=True, help="x grid (pow2:K1[:K2] or floats)")
-    sp.add_argument("--tail-tol", default="1e-9",
-                    help="truncation tolerance (default 1e-9)")
-    sp.add_argument("--density", help="natural density: probe (1-x)log F vs pi^2 d/6")
-    sp.add_argument("--band", help="override band lo,hi (probe mode)")
-    sp.add_argument("--rel-tol", default="0.02", help="band half-width (default 0.02)")
-    _add_common(sp, fmt_default="json")
-
-    sp = sub.add_parser("tauberian-probe",
-                        help="probe the mean of the log-series coefficients")
-    sp.add_argument("--set", required=True, help="part-set spec")
-    sp.add_argument("--grid", required=True, help="integer grid")
-    sp.add_argument("--density", help="natural density (target pi^2 d/6)")
-    sp.add_argument("--target", help="explicit target rate")
-    sp.add_argument("--rel-tol", default="0.01", help="band half-width (default 0.01)")
-    _add_common(sp, fmt_default="json")
-
-    sp = sub.add_parser("check-lemmas",
-                        help="exhaustive monotonicity and window-max checks")
-    sp.add_argument("--set", required=True, help="part-set spec")
-    sp.add_argument("--limit", default="500", help="table limit (default 500)")
-    sp.add_argument("--max-shift", default="20",
-                    help="largest shift to verify (default 20)")
-    _add_common(sp, fmt_default="json")
-
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        for flag in (*command.required, *command.optional):
+            default = command.optional.get(flag)
+            text = command.helps.get(flag, _FLAGS[flag][1])
+            if default is not None:
+                text += f" (default {default})"
+            sp.add_argument("--" + flag, required=flag in command.required,
+                            default=default, help=text)
+        sp.add_argument("--format", choices=("csv", "json"),
+                        default=command.format,
+                        help=f"output format (default {command.format})")
+        sp.add_argument("--out",
+                        help="write the report to PATH instead of stdout")
     return parser
 
 
 def run(request) -> int:
-    """Execute a parsed request; returns the process exit code."""
-    return _HANDLERS[request.command](request.options)
+    """Execute a parsed request; returns the process exit code.
+
+    The flags were parsed under Python's cap on int-to-str digits (absent
+    before 3.10.7); the handler runs without it, so exact results of any
+    size print, such as sb's prefix sums."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _HANDLERS[request.command](request.options)
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
 
 
 def main(argv=None) -> int:

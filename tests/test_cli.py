@@ -14,11 +14,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import BAD_GRIDS, BAD_X_GRIDS, X_GRID_RULE
+from partgrowth import cli
 from partgrowth.cli import (_HANDLERS, CommandRequest, build_parser, main,
                             parse_band, parse_grid, parse_set_spec,
                             parse_x_grid)
+from partgrowth.genfun import log_gf_coefficients
 from partgrowth.partsets import (AllParts, CofiniteTail, FiniteParts,
                                  PrimeParts, ResidueParts)
+from partgrowth.reports import frac_str
 
 
 def _run(*argv, capsys=None):
@@ -143,17 +146,49 @@ def test_parse_band():
 # -- requests ---------------------------------------------------------------
 
 def test_request_options_are_the_given_flags():
-    request = CommandRequest.from_argv(
-        ["direct-probe", "--set", "mod:2:1", "--grid", "100,200",
-         "--alpha", "1/2", "--beta", "1/2"])
-    assert request.command == "direct-probe"
-    # each flag is converted once, defaults included; flags without a
-    # value or default are absent, and --format stays text
-    assert request.options == {
-        "set": ResidueParts(2, (1,)), "grid": (100, 200),
-        "alpha": Fraction(1, 2), "beta": Fraction(1, 2), "rel-tol": 0.1,
-        "format": "json"}
-    assert str(request.options["alpha"]) == "1/2"
+    # each subcommand given only its required flags: each flag is
+    # converted once, defaults included; flags without a value or default
+    # are absent, and --format stays text
+    every = {"set": AllParts()}
+    direct_probe = ["direct-probe", "--set", "mod:2:1", "--grid", "100,200",
+                    "--alpha", "1/2", "--beta", "1/2"]
+    cases = [
+        (["table", "--set", "all", "--limit", "5"],
+         {**every, "limit": 5, "format": "csv"}),
+        (["pentagonal", "--limit", "5"], {"limit": 5, "format": "csv"}),
+        (["density", "--set", "all", "--grid", "10,20"],
+         {**every, "grid": (10, 20), "format": "csv"}),
+        (["ratio", "--set", "all", "--grid", "10,20"],
+         {**every, "grid": (10, 20), "format": "csv"}),
+        (["finite-asym", "--set", "finite:1,2", "--grid", "10"],
+         {"set": FiniteParts((1, 2)), "grid": (10,), "format": "csv"}),
+        (direct_probe,
+         {"set": ResidueParts(2, (1,)), "grid": (100, 200),
+          "alpha": Fraction(1, 2), "beta": Fraction(1, 2), "rel-tol": 0.1,
+          "format": "json"}),
+        (["arithpro-probe", "--set", "mod:2:1", "--grid", "10,20"],
+         {"set": ResidueParts(2, (1,)), "grid": (10, 20), "rel-tol": 0.1,
+          "format": "json"}),
+        (["sb", "--set", "all", "--limit", "5"],
+         {**every, "limit": 5, "format": "csv"}),
+        (["invert", "--set", "all", "--limit", "5"],
+         {**every, "limit": 5, "format": "json"}),
+        (["genfun", "--set", "all", "--xs", "pow2:1:2"],
+         {**every, "xs": (0.5, 0.75), "tail-tol": 1e-9, "rel-tol": 0.02,
+          "format": "json"}),
+        (["tauberian-probe", "--set", "all", "--grid", "10"],
+         {**every, "grid": (10,), "rel-tol": 0.01, "format": "json"}),
+        (["check-lemmas", "--set", "all"],
+         {**every, "limit": 500, "max-shift": 20, "format": "json"}),
+    ]
+    assert [argv[0] for argv, _ in cases] == list(_HANDLERS)
+    for argv, options in cases:
+        request = CommandRequest.from_argv(argv)
+        assert request.command == argv[0]
+        assert request.options == options, argv
+    # a rational prints as it was typed
+    alpha = CommandRequest.from_argv(direct_probe).options["alpha"]
+    assert str(alpha) == "1/2"
 
 
 def test_every_subcommand_has_a_handler(capsys):
@@ -254,6 +289,21 @@ def test_finite_asym_subcommand(capsys):
     assert rows[1][1] == "501/500"
 
 
+def test_finite_asym_refuses_before_building_the_table(capsys,
+                                                       monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(cli, "partition_table", unreachable)
+    for spec, message in (
+            ("primes", "leading ratio needs a finite part set, got primes"),
+            ("finite:2,4",
+             "part set has common divisor 2; normalize by the gcd first")):
+        code, out, err = _run("finite-asym", "--set", spec, "--grid",
+                              "20000", capsys=capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_direct_probe_pass_and_fail_exit_codes(capsys):
     argv = ["direct-probe", "--set", "mod:2:1", "--grid", "200,500,1000",
             "--alpha", "1/2", "--beta", "1/2"]
@@ -346,6 +396,28 @@ def test_sb_subcommand(capsys):
                         "--format", "json", capsys=capsys)
     assert code == 0
     assert json.loads(out)["prefix_sums"] == ["1/1", "3/2", "11/6"]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="Pythons before 3.10.7 cap no int-to-str digits")
+def test_sb_prints_past_the_int_digit_cap(capsys):
+    # the denominator of S(1600) has about 690 digits, past a cap of 640;
+    # the cap still guards the parsing of the flags and is restored after
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, _, err = _run("sb", "--set", "all", "--limit", "1" * 700,
+                            capsys=capsys)
+        assert code == 2 and "limit: not a decimal integer" in err
+        code, out, err = _run("sb", "--set", "all", "--limit", "1600",
+                              capsys=capsys)
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(cap)
+    assert code == 0, err
+    last = _csv_rows(out)[-1]
+    assert last[0] == "1600"
+    assert last[2] == frac_str(log_gf_coefficients(AllParts(), 1600).sums[-1])
 
 
 def test_invert_reports_exact_match(capsys):
