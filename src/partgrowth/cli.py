@@ -49,7 +49,7 @@ from .asymptotics import (_validate_leading_ratio_set,
 from .counting import (check_cofinite_monotonicity, check_shift_monotonicity,
                        check_window_max, partition_table, pentagonal_table)
 from .genfun import (_validate_x_grid, abelian_density_target,
-                     abelian_probe, log_gf, log_gf_coefficients,
+                     abelian_probe, log_gf_coefficients, log_gf_grid,
                      mobius_invert_sums, tauberian_probe)
 from .partsets import (AllParts, CofiniteTail, FiniteParts, PrimeParts,
                        ResidueParts, _validate_increasing, counting_function,
@@ -128,7 +128,11 @@ def parse_grid(text, what="grid"):
         values = [start]
         v = start
         while v < stop:
-            v = max(v + 1, round(v * factor))
+            try:
+                v = max(v + 1, round(v * factor))
+            except OverflowError:       # v * factor is inf, or v too big
+                raise ValueError(f"{what} factor {factor:g} overflows a float "
+                                 f"at point {len(values) + 1}") from None
             values.append(min(v, stop))
         return tuple(values)
     text = text.removeprefix("list:")
@@ -393,7 +397,7 @@ def _cmd_genfun(opts):
         return _probe_exit(opts, report)
     if "band" in opts:
         raise ValueError("--band only applies to probe mode (--density)")
-    values = [log_gf(spec, x, tail_tol=tail_tol) for x in xs]
+    values = list(log_gf_grid(spec, xs, tail_tol=tail_tol))
     obj = {
         "set": str(spec),
         "xs": list(xs),

@@ -50,7 +50,7 @@ from itertools import accumulate, chain, repeat, takewhile
 from operator import floordiv, mul, neg, sub
 
 from .partsets import (FiniteParts, PartSetSpec, _validate_increasing,
-                       counting_function, iter_parts, primes_upto)
+                       block_counts, iter_parts, primes_upto)
 from .reports import ProbeReport, default_band, judge_tail
 
 PI2_OVER_6 = math.pi * math.pi / 6.0
@@ -222,10 +222,10 @@ def sums_via_counting(spec, n) -> Fraction:
                + sum over blocks [k1, k2] of k > r with v = n // k <= r
                      of A(v) * (D/k1 + ... + D/k2).
 
-    The k <= r terms are small ints, multiplied by D/L once.  Each block
-    past r costs one counting_function call, and its run of D/k is
-    summed exactly by _harmonic_run, which checks its own remainder;
-    blocks with A(v) = 0 are skipped.  The big-int work is about
+    The k <= r terms are small ints, multiplied by D/L once.  Every
+    A(n // k) comes from one block_counts call, and each block's run of
+    D/k is summed exactly by _harmonic_run, which checks its own
+    remainder; blocks with A(v) = 0 are skipped.  The big-int work is about
     bits(D) * sum(log k) digit products in a few long divisions, where
     term-by-term evaluation made n divisions of D and n multiply-adds.
     """
@@ -236,11 +236,11 @@ def sums_via_counting(spec, n) -> Fraction:
     D = _lcm_upto(n)
     r = math.isqrt(n)
     L = _lcm_upto(r)
-    head = sum(counting_function(spec, n // k) * (L // k)
-               for k in range(1, r + 1))
+    small, large = block_counts(spec, n)
+    head = sum(large[k] * (L // k) for k in range(1, r + 1))
     total = head * (D // L)
     for v, k1, k2 in _blocks(n, r + 1):
-        count = counting_function(spec, v)
+        count = small[v]
         if count:
             total += count * _harmonic_run(D, k1, k2)
     return Fraction(total, D)
@@ -344,11 +344,24 @@ def log_gf(spec, x, *, tail_tol=1e-9) -> float:
     k = _small_part_end(t)
     cutoff = min(spec.parts[-1] if finite else _tail_cutoff(x, tail_tol),
                  math.ceil(746 / t))
-    small = iter_parts(spec, min(k, cutoff)) if k and cutoff else ()
+    # the big parts first: a sieve for the primes then runs once, to the
+    # cutoff, and the small parts read the same flags
     big = iter_parts(spec, cutoff, k + 1) if cutoff else ()
+    small = iter_parts(spec, min(k, cutoff)) if k and cutoff else ()
     return 0.0 - math.fsum(chain(
         map(math.log, map(neg, map(math.expm1, map(mul, small, repeat(-t))))),
         map(math.log1p, map(neg, map(math.exp, map(mul, big, repeat(-t)))))))
+
+
+def log_gf_grid(spec, xs, *, tail_tol=1e-9) -> tuple[float, ...]:
+    """log_gf at every x of an ascending x-grid, in grid order.
+
+    The largest x goes first: its cutoff is the largest, so the prime
+    sieve runs once, to that cutoff, instead of growing by doubling at
+    each x and holding the old flags beside the new.
+    """
+    backward = [log_gf(spec, x, tail_tol=tail_tol) for x in reversed(xs)]
+    return tuple(reversed(backward))
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +397,8 @@ def abelian_probe(spec, density, x_grid, *, rel_tol=0.02, tail_tol=1e-9,
     target = abelian_density_target(density)
     lo, hi = ((float(band[0]), float(band[1])) if band is not None
               else default_band(target, rel_tol))
-    values = tuple((1.0 - x) * log_gf(spec, x, tail_tol=tail_tol) for x in xs)
+    values = tuple((1.0 - x) * v for x, v in
+                   zip(xs, log_gf_grid(spec, xs, tail_tol=tail_tol)))
     last_dev = (abs(values[-1] - target) / target if target > 0.0
                 else abs(values[-1]))
     return judge_tail("abelian", xs, values, lo, hi, meta={
@@ -420,12 +434,15 @@ def _enclosed_mean(spec, n) -> float:
     4**bits(n): the enclosure is narrower than 2**-(64 + _GUARD_BITS) *
     S(n), and only a value that close to a rounding boundary falls back.
     The work is about n floors of a P-bit int by a small one, in C-level
-    sums, and one counting_function call per block, O(isqrt(n)) in all.
+    sums, and one block_counts call for every A(v).  A block with v > r =
+    isqrt(n) starts at k1 <= r, so its A(v) is large[k1].
     """
     one = 1 << (64 + 2 * n.bit_length() + _GUARD_BITS)
     total = error = 0
+    small, large = block_counts(spec, n)
+    r = len(small) - 1
     for v, k1, k2 in _blocks(n):
-        count = counting_function(spec, v)
+        count = small[v] if v <= r else large[k1]
         if count:
             total += count * sum(map(floordiv, repeat(one, k2 - k1 + 1),
                                      range(k1, k2 + 1)))

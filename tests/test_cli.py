@@ -610,6 +610,8 @@ def test_usage_errors_exit_2(capsys):
          "no member of cofinite:600 within limit 500"),
         # out-of-range numbers
         (["density", "--set", "all", "--grid", "geo:1:10:inf"], "not a finite"),
+        (["ratio", "--set", "all", "--grid", "geo:10:20:1e308"],
+         "grid factor 1e+308 overflows a float at point 2"),
         (["genfun", "--set", "all", "--xs", "0.5", "--tail-tol", "inf"],
          "not a finite"),
         (["genfun", "--set", "all", "--xs", "0.5", "--density", "1", "--band",

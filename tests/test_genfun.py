@@ -15,7 +15,7 @@ from partgrowth import genfun, partsets
 from partgrowth.cli import main, parse_grid
 from partgrowth.genfun import (CoefficientSeries, abelian_density_target,
                                abelian_probe, log_gf, log_gf_coefficients,
-                               mobius_invert_sums, mobius_sieve,
+                               log_gf_grid, mobius_invert_sums, mobius_sieve,
                                sums_via_counting, tauberian_probe,
                                _enclosed_mean, _harmonic_run, _lcm_upto,
                                _neg_log, _small_part_end, _tail_cutoff)
@@ -480,6 +480,25 @@ def test_tail_cutoff_bound_holds():
 
 # -- probes -----------------------------------------------------------------
 
+def test_log_gf_grid_sieves_once_to_the_last_cutoff(monkeypatch):
+    xs = tuple(1.0 - 2.0 ** -k for k in range(8, 13))
+    monkeypatch.setattr(partsets, "_prime_sieve", (bytearray(), [0]))
+    ensure = partsets._ensure_sieved
+    limits = []
+
+    def recorded(bound):
+        ensure(bound)
+        limits.append(len(partsets._prime_sieve[0]) - 1)
+    monkeypatch.setattr(partsets, "_ensure_sieved", recorded)
+    values = log_gf_grid(PrimeParts(), xs)
+    x = xs[-1]
+    cutoff = min(_tail_cutoff(x, 1e-9), math.ceil(746 / _neg_log(x)))
+    # one sieve, to the largest x's cutoff; in grid order, every x would
+    # grow it again
+    assert set(limits) == {cutoff}
+    assert values == tuple(log_gf(PrimeParts(), x) for x in xs)
+
+
 def test_abelian_target_helper():
     assert abelian_density_target(1) == pytest.approx(math.pi ** 2 / 6)
     assert abelian_density_target(Fraction(1, 2)) == pytest.approx(
@@ -659,6 +678,36 @@ def test_tauberian_probe_reaches_a_million(spec, monkeypatch):
     monkeypatch.setattr(genfun, "sums_via_counting", None)  # no fallback
     report = tauberian_probe(spec, 1.0, [n])
     assert report.values[0].hex() == _mean_by_harmonic_numbers(spec, n).hex()
+
+
+def test_hyperbola_sums_of_the_primes_read_lucy_and_the_flags_alike(
+        monkeypatch):
+    n = 2049
+    _lcm_upto(n), _lcm_upto(math.isqrt(n))   # cached: no sieve for D or L
+    partsets._ensure_sieved(n)
+    inside = sums_via_counting(PrimeParts(), n), _enclosed_mean(
+        PrimeParts(), n).hex()
+    monkeypatch.setattr(partsets, "_prime_sieve", (bytearray(), [0]))
+    outside = sums_via_counting(PrimeParts(), n), _enclosed_mean(
+        PrimeParts(), n).hex()
+    assert partsets._prime_sieve == (bytearray(), [0])    # Lucy's route
+    assert outside == inside
+    assert inside[0] == _divisor_sum_by_terms(PrimeParts(), n)
+    assert inside[1] == _mean_by_harmonic_numbers(PrimeParts(), n).hex()
+
+
+def test_lucy_runs_at_most_once_per_hyperbola_sum(monkeypatch):
+    lucy, calls = partsets._lucy, []
+    monkeypatch.setattr(partsets, "_lucy",
+                        lambda n: calls.append(n) or lucy(n))
+    monkeypatch.setattr(partsets, "_prime_sieve", (bytearray(), [0]))
+    _enclosed_mean(PrimeParts(), 100_003)
+    assert calls == [100_003]
+    calls.clear()
+    _lcm_upto(3001), _lcm_upto(54)
+    monkeypatch.setattr(partsets, "_prime_sieve", (bytearray(), [0]))
+    sums_via_counting(PrimeParts(), 3001)
+    assert calls == [3001]
 
 
 def test_grid_cut_is_estimate_only(monkeypatch):

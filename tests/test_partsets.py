@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from conftest import BAD_GRIDS, GRID_RULE
 from partgrowth import partsets
+from partgrowth.cli import parse_grid
 from partgrowth.partsets import (AllParts, CofiniteTail, FiniteParts,
                                  PartFileError, PrimeParts, ResidueParts,
-                                 UnsupportedNormalizationError,
+                                 UnsupportedNormalizationError, block_counts,
                                  counting_function, density_profile,
                                  enumerate_parts, gcd_of_set, iter_parts,
                                  load_part_file, normalize_by_gcd,
@@ -404,6 +405,58 @@ def test_prime_flags_agree_with_trial_division_across_doublings(monkeypatch):
     assert prime_count(1) == prime_count(0) == prime_count(-5) == 0
 
 
+def _block_values(n):
+    """Every v = n // k, and every v <= isqrt(n)."""
+    r = math.isqrt(n)
+    return sorted({n // k for k in range(1, r + 1)} | set(range(1, r + 1)))
+
+
+def _lucy_at(small, large, n, v):
+    return small[v] if v < len(small) else large[n // v]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 10 ** 6))
+def test_lucy_equals_the_sieve_at_every_block_value(n):
+    partsets._ensure_sieved(10 ** 6)                # flags cover every n
+    small, large = partsets._lucy(n)
+    r = math.isqrt(n)
+    assert len(small) == len(large) == r + 1
+    assert large[0] == 0
+    assert all(_lucy_at(small, large, n, v) == prime_count(v)
+               for v in _block_values(n))
+    assert block_counts(PrimeParts(), n) == (small, large)   # flags route
+
+
+def test_lucy_equals_a_plain_sieve_and_leaves_the_flags_alone(monkeypatch):
+    n = 123_457
+    monkeypatch.setattr(partsets, "_prime_sieve", (bytearray(), [0]))
+    small, large = block_counts(PrimeParts(), n)
+    assert partsets._prime_sieve == (bytearray(), [0])
+    values = _block_values(n)
+    assert [_lucy_at(small, large, n, v) for v in values] == _sieve_counts(
+        values)
+    assert prime_count(n) == large[1] == 11_602
+    assert partsets._prime_sieve == (bytearray(), [0])
+
+
+def test_lucy_equals_sympy_primepi():
+    sympy = pytest.importorskip("sympy")
+    for n in (10 ** 7, 10 ** 8):
+        assert partsets._lucy(n)[1][1] == sympy.primepi(n)
+
+
+@pytest.mark.parametrize("spec", FAMILY[:-1] + [CofiniteTail(50)], ids=str)
+def test_block_counts_of_the_closed_forms_count_the_members(spec):
+    for n in (1, 2, 3, 10, 99, 100, 1000, 12_345):
+        members = enumerate_parts(spec, n)
+        small, large = block_counts(spec, n)
+        r = math.isqrt(n)
+        assert small == [bisect_right(members, v) for v in range(r + 1)]
+        assert large == [0] + [bisect_right(members, n // k)
+                               for k in range(1, r + 1)]
+
+
 def _sieve_counts(grid):
     """pi(x) at each grid point from a plain sieve written here."""
     end = grid[-1]
@@ -425,12 +478,53 @@ def _sieve_counts(grid):
     [1000, 2000, 4000, 8000, 16000, 32000, 64000, 100_000],
 ])
 def test_density_profile_sieves_once_to_the_grid_end(monkeypatch, grid):
+    # a dense grid weighs less as one sieve than as one Lucy per point
+    lucy, sieve = partsets._prime_route_costs(grid)
+    assert sieve <= lucy
     monkeypatch.setattr(partsets, "_prime_sieve", (bytearray(), [0]))
     profile = density_profile(PrimeParts(), grid)
     # a rising grid would double the sieve limit past its end (131072 here)
     assert len(partsets._prime_sieve[0]) == max(grid[-1], 1024) + 1
     assert profile.ratios == tuple(
         Fraction(c, x) for c, x in zip(_sieve_counts(grid), grid))
+
+
+def test_density_profile_of_a_sparse_prime_grid_leaves_the_flags_empty(
+        monkeypatch):
+    grid = parse_grid("geo:1000:1000000:4")
+    lucy, sieve = partsets._prime_route_costs(grid)
+    assert lucy < sieve
+    monkeypatch.setattr(partsets, "_prime_sieve", (bytearray(), [0]))
+    profile = density_profile(PrimeParts(), grid)
+    assert partsets._prime_sieve == (bytearray(), [0])
+    assert profile.ratios == tuple(
+        Fraction(c, x) for c, x in zip(_sieve_counts(grid), grid))
+
+
+def test_prime_route_is_estimate_only(monkeypatch):
+    for name in ("_lucy", "_ensure_sieved", "counting_function",
+                 "prime_count"):
+        monkeypatch.setattr(partsets, name, None)   # any call would fail
+    costs = partsets._prime_route_costs
+    # the boundary benchmark's grid: 15 * 555175 against 10**7, Lucy
+    assert costs(parse_grid("geo:1000:10000000:2")) == (8_327_625, 10_000_000)
+    # about 33000 points below 10**5: one sieve
+    assert costs(parse_grid("geo:1:100000:1.0001")) == (
+        1_023_877_425, 100_000)
+    assert costs((10 ** 8,)) == (15_000_000, 10 ** 8)
+    assert costs((10 ** 4,)) == (15_000, 10_000)
+
+
+def test_density_of_the_primes_at_1e8_sieves_nothing_past_2_20(monkeypatch):
+    ensure = partsets._ensure_sieved
+
+    def guarded(bound):
+        assert bound <= 1 << 20, f"sieve to {bound}"
+        ensure(bound)
+    monkeypatch.setattr(partsets, "_ensure_sieved", guarded)
+    monkeypatch.setattr(partsets, "_prime_sieve", (bytearray(), [0]))
+    profile = density_profile(PrimeParts(), [10 ** 8])
+    assert profile.ratios == (Fraction(5_761_455, 10 ** 8),)
 
 
 def test_density_profile_of_the_primes_holds_only_the_flags(monkeypatch):
@@ -442,5 +536,6 @@ def test_density_profile_of_the_primes_holds_only_the_flags(monkeypatch):
     finally:
         tracemalloc.stop()
     assert profile.ratios == (Fraction(78498, 10 ** 6),)
-    # one flag byte per integer; a list of the 78498 primes adds 3 MB
+    # Lucy's three lists of 1001 ints; a sieve would hold a flag byte per
+    # integer, and a list of the 78498 primes adds 3 MB
     assert peak < 1_500_000
