@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .counting import partition_table
+from .counting import PartitionTable, grid_counts
 from .partsets import (FiniteParts, PartSetSpec, ResidueParts,
                        _validate_increasing, analytic_gcd)
 from .reports import ProbeReport, default_band, judge_tail
@@ -62,14 +62,21 @@ def growth_ratio(count, n) -> Optional[float]:
     return math.log(count) / (C0 * math.sqrt(n))
 
 
-def growth_ratio_series(table, grid) -> GrowthSeries:
-    """Sample growth_ratio at the grid points, reading counts from `table`."""
+def growth_ratio_series(source, grid) -> GrowthSeries:
+    """Sample growth_ratio at the grid points.  source is a part-set
+    spec, whose counts come from grid_counts, or a PartitionTable that
+    reaches the grid's end."""
     grid = tuple(grid)
     _validate_increasing(grid, "grid")
-    if grid[-1] > table.limit:
-        raise ValueError(f"grid point {grid[-1]} outside table range [1, {table.limit}]")
-    ratios = tuple(growth_ratio(table[n], n) for n in grid)
-    return GrowthSeries(table.spec, grid, ratios)
+    if isinstance(source, PartitionTable):
+        if grid[-1] > source.limit:
+            raise ValueError(f"grid point {grid[-1]} outside table range "
+                             f"[1, {source.limit}]")
+        spec, counts = source.spec, [source[n] for n in grid]
+    else:
+        spec, counts = source, grid_counts(source, grid)
+    ratios = tuple(growth_ratio(c, n) for c, n in zip(counts, grid))
+    return GrowthSeries(spec, grid, ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -99,12 +106,16 @@ def finite_set_leading_ratio(table, n) -> LeadingRatio:
     ratio tends to 1 as n grows.
     """
     _validate_leading_ratio_set(table.spec)
-    parts = table.spec.parts
     if not 1 <= n <= table.limit:
         raise ValueError(f"n={n} outside table range [1, {table.limit}]")
-    k = len(parts)
-    product = math.prod(parts)
-    exact = Fraction(table[n] * math.factorial(k - 1) * product, n ** (k - 1))
+    return _leading_ratio(table.spec, table[n], n)
+
+
+def _leading_ratio(spec, count, n) -> LeadingRatio:
+    """The leading ratio at n of a validated finite set with p_A(n) = count."""
+    k = len(spec.parts)
+    product = math.prod(spec.parts)
+    exact = Fraction(count * math.factorial(k - 1) * product, n ** (k - 1))
     try:
         return LeadingRatio(exact, float(exact))
     except OverflowError:
@@ -148,7 +159,7 @@ def density_growth_probe(spec, grid, *, lower_density, upper_density,
         raise ValueError(
             f"set has common divisor {g}; normalize by the gcd and "
             f"probe the divided-through set")
-    values = growth_ratio_series(partition_table(spec, grid[-1]), grid).ratios
+    values = growth_ratio_series(spec, grid).ratios
 
     if band is not None:
         lo, hi = float(band[0]), float(band[1])

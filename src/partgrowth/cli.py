@@ -33,21 +33,23 @@ x = 1 - 2^-k for k = K1..K2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .asymptotics import (_validate_leading_ratio_set,
+from .asymptotics import (_leading_ratio, _validate_leading_ratio_set,
                           arithmetic_progression_probe, density_growth_probe,
-                          finite_set_leading_ratio, growth_ratio_series)
+                          growth_ratio_series)
 from .counting import (check_cofinite_monotonicity, check_shift_monotonicity,
-                       check_window_max, partition_table, pentagonal_table)
+                       check_window_max, grid_counts, partition_table,
+                       pentagonal_table)
 from .genfun import (_validate_x_grid, abelian_density_target,
                      abelian_probe, log_gf_coefficients, log_gf_grid,
                      mobius_invert_sums, tauberian_probe)
@@ -237,22 +239,33 @@ class CommandRequest:
 
 def _emit(opts, obj, columns):
     """Write obj as JSON, or as CSV: the keys of columns as the header row,
-    then one row per position of its equal-length cell sequences."""
-    if opts["format"] == "json":
-        # allow_nan=False: a NaN or infinity in a report is a bug, not JSON
-        text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(zip(*columns.values()))
-        text = buf.getvalue()
+    then one row per position of its equal-length cell sequences.
+
+    The report streams to stdout or the --out file as it is encoded, so
+    no string of the whole document is ever held.  A reader that closes
+    stdout early ends the report quietly, with the handler's exit code.  allow_nan=False stays
+    as a bug trap: a NaN or infinity in a report is a bug, not JSON, and
+    would stop the report half-written.  No reachable input puts one
+    there; the exit-contract fuzz of the CLI's tests checks that.
+    """
     path = opts.get("out")
-    if path:
-        with open(path, "w", encoding="utf-8") as fp:
-            fp.write(text)
-    else:
-        sys.stdout.write(text)
+    with (open(path, "w", encoding="utf-8") if path
+          else contextlib.nullcontext(sys.stdout)) as fp:
+        try:
+            if opts["format"] == "json":
+                json.dump(obj, fp, indent=2, allow_nan=False)
+                fp.write("\n")
+            else:
+                writer = csv.writer(fp, lineterminator="\n")
+                writer.writerow(columns)
+                writer.writerows(zip(*columns.values()))
+        except BrokenPipeError:
+            if path:
+                raise
+            # stdout's reader has stopped (partgrowth ... | head): the rest
+            # of the report has nowhere to go, and its final flush must
+            # not fail either
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +311,7 @@ def _cmd_density(opts):
 
 def _cmd_ratio(opts):
     spec, grid = opts["set"], opts["grid"]
-    series = growth_ratio_series(partition_table(spec, grid[-1]), grid)
+    series = growth_ratio_series(spec, grid)
     # an undefined ratio is null in JSON and an empty CSV cell
     obj = {"set": str(spec), "grid": list(grid), "ratios": list(series.ratios)}
     _emit(opts, obj, {"n": obj["grid"], "ratio": obj["ratios"]})
@@ -307,9 +320,9 @@ def _cmd_ratio(opts):
 
 def _cmd_finite_asym(opts):
     spec, grid = opts["set"], opts["grid"]
-    _validate_leading_ratio_set(spec)      # before the table is built
-    table = partition_table(spec, grid[-1])
-    ratios = [finite_set_leading_ratio(table, n) for n in grid]
+    _validate_leading_ratio_set(spec)      # before any count is taken
+    ratios = [_leading_ratio(spec, count, n)
+              for n, count in zip(grid, grid_counts(spec, grid))]
     obj = {
         "set": str(spec),
         "grid": list(grid),
@@ -365,7 +378,7 @@ def _cmd_sb(opts):
         "coeffs": [frac_str(c) for c in series.coeffs[1:]],
         "prefix_sums": [frac_str(s) for s in series.sums[1:]],
     }
-    del series      # free the Fraction views before the strings are joined
+    del series      # free the Fraction views before the report is written
     _emit(opts, obj, {"l": range(1, limit + 1), "coeff": obj["coeffs"],
                       "prefix_sum": obj["prefix_sums"]})
     return 0

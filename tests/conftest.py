@@ -1,5 +1,9 @@
 import sys
 
+import pytest
+
+from partgrowth.counting import pentagonal_table
+
 #: Grids that the one grid rule (partsets._validate_increasing) refuses:
 #: empty, a point below 1, a repeat, a descent and a float.  Every caller
 #: of the rule runs them through its own validation test.
@@ -11,6 +15,12 @@ GRID_RULE = "must be nonempty|must be >= 1|strictly increasing|expected an int"
 BAD_X_GRIDS = ([], [0.0], [1.0], [-0.5], [0.5, 1.5], [0.5, 0.5], [0.9, 0.5])
 #: The messages of that rule, one per kind of refusal.
 X_GRID_RULE = "must be nonempty|must lie in \\(0, 1\\)|strictly increasing"
+
+
+@pytest.fixture(scope="session")
+def pentagonal_50k():
+    """p(0..50000) by the pentagonal recurrence, built once per session."""
+    return pentagonal_table(50_000)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -89,6 +89,18 @@ def test_unrestricted_ratios_below_one_and_rising():
     assert trend_direction(series.ratios) == 1
 
 
+def test_series_of_a_spec_reads_the_same_counts_as_its_table():
+    # all parts on a sparse grid take the series, the others a table
+    grid = (300, 1000, 2000)
+    for spec in (AllParts(), ResidueParts(2, (1,)), PrimeParts(),
+                 FiniteParts((1, 2, 3))):
+        table = partition_table(spec, grid[-1])
+        assert growth_ratio_series(spec, grid) == growth_ratio_series(table, grid)
+    for grid in BAD_GRIDS:
+        with pytest.raises(ValueError, match=GRID_RULE):
+            growth_ratio_series(AllParts(), grid)
+
+
 def test_restricted_ratio_below_unrestricted():
     full = pentagonal_table(2000)
     odd = partition_table(ResidueParts(2, (1,)), 2000)

@@ -1,20 +1,25 @@
 """Command-line surface: parsing, dispatch, exit codes, serialization."""
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import BAD_GRIDS, BAD_X_GRIDS, X_GRID_RULE
-from partgrowth import cli
+from partgrowth import cli, counting
+from partgrowth.asymptotics import growth_ratio
 from partgrowth.cli import (_HANDLERS, CommandRequest, build_parser, main,
                             parse_band, parse_grid, parse_set_spec,
                             parse_x_grid)
@@ -292,9 +297,9 @@ def test_finite_asym_subcommand(capsys):
 def test_finite_asym_refuses_before_building_the_table(capsys,
                                                        monkeypatch):
     def unreachable(*args):
-        raise AssertionError("the table was built")
+        raise AssertionError("a count was taken")
 
-    monkeypatch.setattr(cli, "partition_table", unreachable)
+    monkeypatch.setattr(cli, "grid_counts", unreachable)
     for spec, message in (
             ("primes", "leading ratio needs a finite part set, got primes"),
             ("finite:2,4",
@@ -572,6 +577,118 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert _csv_rows(target.read_text())[-1] == ["4", "5"]
 
 
+def test_out_file_holds_the_stdout_report(tmp_path, capsys):
+    for argv in (["pentagonal", "--limit", "300", "--format", "json"],
+                 ["ratio", "--set", "all", "--grid", "geo:10:3000:3"],
+                 ["direct-probe", "--set", "mod:2:1", "--grid", "50,100",
+                  "--alpha", "1/2", "--beta", "1/2", "--format", "csv"]):
+        target = tmp_path / "report"
+        code, out, _ = _run(*argv, capsys=capsys)
+        assert _run(*argv, "--out", str(target), capsys=capsys) == (code, "", "")
+        assert target.read_text(encoding="utf-8") == out, argv
+
+
+def test_point_route_answers_past_the_table_budget(monkeypatch, capsys):
+    pytest.importorskip("sympy")
+    from sympy.functions.combinatorial.numbers import partition
+
+    def refuse(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(counting, "partition_table", refuse)
+    monkeypatch.setattr(counting, "_euler_quotient", refuse)
+    want = {n: growth_ratio(int(partition(n)), n) for n in (10**5, 10**6)}
+    code, out, err = _run("ratio", "--set", "all", "--grid", "1000000",
+                          "--format", "json", capsys=capsys)
+    assert (code, err) == (0, "")
+    assert _strict_json(out)["ratios"] == [want[10**6]]
+    code, out, err = _run("direct-probe", "--set", "all", "--grid",
+                          "100000,1000000", "--alpha", "1", "--beta", "1",
+                          capsys=capsys)
+    assert (code, err) == (0, "")
+    assert _strict_json(out)["values"] == [want[10**5], want[10**6]]
+
+
+# -- the exit contract, fuzzed ----------------------------------------------
+
+#: Per flag of cli._FLAGS: a strategy for valid texts at small sizes
+#: (limits <= 60, pow2 <= 12), and texts it refuses (None leaves it out).
+_FLAG_TEXTS = {
+    "set": (st.sampled_from([
+        "all", "primes", "finite:1,2", "finite:2,3", "finite:3,5",
+        "finite:1,2,3", "mod:2:1", "mod:4:1,3", "mod:3:1,2", "cofinite:3"]),
+        [None, "evens", "finite:", "mod:4:5", "mod:4:2", "cofinite:0",
+         "finite:2,4"]),
+    "limit": (st.integers(1, 60).map(str), [None, "-1", "0", "x", ""]),
+    "grid": (st.lists(st.integers(1, 60), min_size=1, max_size=4,
+                      unique=True).map(lambda v: ",".join(map(str, sorted(v))))
+             | st.sampled_from(["geo:1:60:1.5", "geo:2:50:2"]),
+             [None, "", "0", "3,1", "2,2", "geo:1:10:inf", "geo:10:20:1e308",
+              "geo:5:1:2", "1.5"]),
+    "xs": (st.integers(1, 12).flatmap(lambda k: st.integers(k, 12).map(
+        lambda j: f"pow2:{k}:{j}")) | st.just("0.5,0.9"),
+        [None, "0.9,0.5", "1.5", "pow2:0", "nan", ""]),
+    "alpha": (st.sampled_from(["0", "1/3", "1/2", "1"]),
+              [None, "2", "-1", "x", "1e5000"]),
+    "beta": (st.sampled_from(["0", "1/2", "1"]), [None, "3/2", "1/0"]),
+    "density": (st.sampled_from(["0", "1/2", "1"]), [None, "2", "-1", "x"]),
+    "target": (st.sampled_from(["0", "0.82", "1.64"]), [None, "nan", "-1"]),
+    "band": (st.sampled_from(["0.1,0.9", "0.5,1.7"]),
+             [None, "0.9,0.1", "nan,1", "x"]),
+    "rel-tol": (st.sampled_from(["0.1", "0.02", "0"]), [None, "-1", "inf"]),
+    "tail-tol": (st.sampled_from(["1e-9", "1e-6"]), [None, "0", "-1"]),
+    "max-shift": (st.integers(1, 30).map(str), [None, "0", "-1"]),
+}
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand with its required flags, a subset of its optional
+    flags and maybe --format, all valid texts but for at most one
+    refused or left out; with the format its report is written in."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    command = cli._COMMANDS[name]
+    flags = [*command.required,
+             *(f for f in command.optional if draw(st.booleans()))]
+    texts = {flag: draw(_FLAG_TEXTS[flag][0]) for flag in flags}
+    spoiled = draw(st.sampled_from([None] * len(flags) + flags))
+    if spoiled:
+        texts[spoiled] = draw(st.sampled_from(_FLAG_TEXTS[spoiled][1]))
+    argv = [name]
+    for flag, text in texts.items():
+        if text is not None:
+            argv += ["--" + flag, text]
+    fmt = draw(st.sampled_from([None, "csv", "json"]))
+    if fmt:
+        argv += ["--format", fmt]
+    return argv, fmt or command.format
+
+
+def test_fuzz_strategies_cover_every_flag():
+    assert set(_FLAG_TEXTS) == set(cli._FLAGS)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(drawn=_argvs())
+def test_exit_contract_fuzz(drawn):
+    argv, fmt = drawn
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 2:
+        assert out == "" and err.count("\n") == 1, argv
+        assert err.startswith("error: "), argv
+        return
+    assert code in (0, 1) and err == "", argv
+    if fmt == "json":
+        _strict_json(out)
+    else:
+        rows = _csv_rows(out)
+        assert rows and all(re.fullmatch(r"[a-z_]+", h) for h in rows[0]), argv
+        assert all(len(row) == len(rows[0]) for row in rows), argv
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["table"]) == 2                      # missing required flags
     capsys.readouterr()
@@ -674,6 +791,21 @@ def test_usage_errors_exit_2(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_a_reader_that_stops_early_ends_the_report_quietly():
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    for argv in (["pentagonal", "--limit", "3000", "--format", "json"],
+                 ["pentagonal", "--limit", "3000", "--format", "csv"]):
+        child = subprocess.Popen(
+            [sys.executable, "-m", "partgrowth.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert child.stdout.read(100)
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert (child.wait(timeout=60), err) == (0, b""), argv
 
 
 def test_module_entry_point_as_a_process():

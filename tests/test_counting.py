@@ -1,18 +1,24 @@
 """Exact tables, the pentagonal recurrence, and the structural checks."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from partgrowth.counting import (BRUTEFORCE_LIMIT, PartitionTable,
-                                 _euler_quotient, _euler_step, _route,
+from partgrowth import counting
+from partgrowth.cli import parse_grid
+from partgrowth.counting import (_TAIL_TARGET, BRUTEFORCE_LIMIT,
+                                 PartitionTable, _euler_quotient, _euler_step,
+                                 _hrr_count, _hrr_sum, _point_route_costs,
+                                 _route, _tail_bound,
                                  check_cofinite_monotonicity,
                                  check_shift_monotonicity, check_window_max,
-                                 count_partitions_bruteforce, partition_table,
-                                 pentagonal_table, scaled_count,
-                                 table_from_parts, window_max_location)
+                                 count_partitions_bruteforce, grid_counts,
+                                 partition_table, pentagonal_table,
+                                 scaled_count, table_from_parts,
+                                 window_max_location)
 from partgrowth.partsets import (AllParts, CofiniteTail, FiniteParts,
                                  PrimeParts, ResidueParts, enumerate_parts)
 
@@ -228,7 +234,7 @@ def test_odd_parts_quotient_matches_dp_at_3000():
     assert partition_table(spec, 3000).values == dp.values
 
 
-def test_large_n_against_rademacher():
+def test_large_n_against_rademacher(pentagonal_50k):
     """Exact p(n) from the Hardy-Ramanujan-Rademacher series, far beyond
     the reach of the coin DP and brute force."""
     pytest.importorskip("sympy")
@@ -237,13 +243,105 @@ def test_large_n_against_rademacher():
     def p(n):
         return int(partition(n))
 
-    table = pentagonal_table(50_000)
     for n in (10_000, 20_000, 50_000):
-        assert table[n] == p(n), n
+        assert pentagonal_50k[n] == p(n), n
     # numerator (1 - x)(1 - x^2) = 1 - x - x^2 + x^3
     tail = partition_table(CofiniteTail(3), 20_000)
     for n in (3, 777, 5_000, 19_999, 20_000):
         assert tail[n] == p(n) - p(n - 1) - p(n - 2) + p(n - 3), n
+
+
+# -- point counts: the Hardy-Ramanujan-Rademacher series -------------------
+
+#: The grid of the benchmark's ratio operation.
+BENCH_GRID = (1000, 2500, 6250, 15625, 39062, 50000)
+
+
+def test_point_counts_match_the_table(pentagonal_50k):
+    # every n <= 1000, then 200 seeded points up to 50000
+    points = [*range(2, 1001), *random.Random(22).sample(range(1001, 50_001), 200)]
+    for n in points:
+        assert _hrr_count(n) == pentagonal_50k[n], n
+    # below 2 the tail bound does not hold; grid_counts reads a table
+    assert _hrr_count(0) is None and _hrr_count(1) is None
+    assert grid_counts(AllParts(), (1,) + BENCH_GRID) == tuple(
+        pentagonal_50k[n] for n in (1,) + BENCH_GRID)
+
+
+def test_point_counts_against_sympy():
+    pytest.importorskip("sympy")
+    from sympy.functions.combinatorial.numbers import partition
+
+    for n in (10**5, 10**6):
+        assert _hrr_count(n) == int(partition(n)), n
+
+
+def _series_prefix(n, terms):
+    """The first terms terms of the series for p(n), in mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    pi = mpmath.pi
+    x0 = pi / 6 * mpmath.sqrt(24 * n - 1)
+    total = mpmath.mpf(0)
+    for k in range(1, terms + 1):
+        s = mpmath.fsum((-1) ** l * mpmath.cos(pi * (6 * l + 1) / (6 * k))
+                        for l in range(2 * k)
+                        if (l * (3 * l + 1) // 2 + n) % k == 0)
+        x = x0 / k
+        total += 4 * s * (mpmath.cosh(x) - mpmath.sinh(x) / x) / (24 * n - 1)
+    return total
+
+
+@pytest.mark.parametrize("n", [2, 3, 47, 100, 1000, 4321, 50_000])
+def test_series_sum_lies_within_its_bounds(n, pentagonal_50k):
+    mpmath = pytest.importorskip("mpmath")
+    terms, total, rounding = _hrr_sum(n)
+    # the least number of terms whose tail bound meets the target
+    assert _tail_bound(n, terms) <= _TAIL_TARGET < _tail_bound(n, terms - 1)
+    assert rounding < 1e-6
+    with mpmath.workdps(len(str(pentagonal_50k[n])) + 30):
+        prefix = _series_prefix(n, terms)
+        assert abs(mpmath.mpf(str(total)) - prefix) <= rounding
+        assert abs(prefix - pentagonal_50k[n]) <= _tail_bound(n, terms)
+
+
+def test_grid_route_choice_is_estimate_only(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the chooser started counting")
+
+    for name in ("_hrr_sum", "partition_table", "_euler_quotient"):
+        monkeypatch.setattr(counting, name, refuse)
+    table, points = _point_route_costs(AllParts(), parse_grid("geo:1:2000:1.01"))
+    assert table < points
+    # the figures in _point_route_costs' docstring
+    assert _point_route_costs(AllParts(), BENCH_GRID) == (18_200_000, 245_334)
+    assert parse_grid("geo:1000:50000:2.5") == BENCH_GRID
+    for spec in FAMILY[1:]:
+        assert _point_route_costs(spec, BENCH_GRID)[1] == math.inf, spec
+
+
+def test_forced_fallback_reads_the_table(monkeypatch, pentagonal_50k):
+    # too few guard digits: every decimal term's rounding bound is huge
+    grid = (300, 600, 1200)
+    table, points = _point_route_costs(AllParts(), grid)
+    assert points < table
+    monkeypatch.setattr(counting, "_GUARD_DIGITS", -12)
+    assert [_hrr_count(n) for n in grid] == [None] * 3
+    built = []
+
+    def counted(spec, limit):
+        built.append(limit)
+        return partition_table(spec, limit)
+
+    monkeypatch.setattr(counting, "partition_table", counted)
+    assert grid_counts(AllParts(), grid) == tuple(pentagonal_50k[n] for n in grid)
+    assert built == [1200]
+
+
+def test_grid_counts_match_the_table_for_every_set():
+    grid = (1, 7, 40, 333)
+    for spec in FAMILY:
+        table = partition_table(spec, grid[-1])
+        assert grid_counts(spec, grid) == tuple(table[n] for n in grid), spec
 
 
 # -- gcd-scaled counts ------------------------------------------------------
