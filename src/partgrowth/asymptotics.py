@@ -20,13 +20,13 @@ evaluates that ratio exactly as a rational.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
+from ._record import _Record
 from .counting import PartitionTable, grid_counts
-from .partsets import (FiniteParts, PartSetSpec, ResidueParts,
-                       _validate_increasing, analytic_gcd)
+from .partsets import (FiniteParts, ResidueParts, _validate_increasing,
+                       analytic_gcd)
 from .reports import ProbeReport, default_band, judge_tail
 
 #: pi * sqrt(2/3), the growth constant of the unrestricted counts.
@@ -37,13 +37,10 @@ C0 = math.pi * math.sqrt(2.0 / 3.0)
 # Ratio series
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GrowthSeries:
+class GrowthSeries(_Record):
     """r(n) sampled on a grid; None where the count is 0 (log undefined)."""
 
-    spec: PartSetSpec
-    grid: tuple[int, ...]
-    ratios: tuple[Optional[float], ...]
+    __slots__ = __match_args__ = ("spec", "grid", "ratios")
 
 
 def growth_ratio(count, n) -> Optional[float]:
@@ -203,9 +200,12 @@ def arithmetic_progression_probe(modulus, residues, grid, *, band=None,
     report = density_growth_probe(
         spec, grid, lower_density=density, upper_density=density,
         band=band, rel_tol=rel_tol)
-    return replace(report, name="arithmetic-progression", meta={
-        **report.meta,
-        "probe_target": math.sqrt(density),
-        "modulus": modulus,
-        "residues": list(spec.residues),
-    })
+    return ProbeReport(
+        "arithmetic-progression", report.xs, report.values, report.target_low,
+        report.target_high, report.passed, report.tail_min, report.tail_max,
+        report.direction, meta={
+            **report.meta,
+            "probe_target": math.sqrt(density),
+            "modulus": modulus,
+            "residues": list(spec.residues),
+        })

@@ -40,10 +40,10 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+from ._record import _Record
 from .asymptotics import (_leading_ratio, _validate_leading_ratio_set,
                           arithmetic_progression_probe, density_growth_probe,
                           growth_ratio_series)
@@ -214,8 +214,7 @@ def _parse_fraction(text, what):
 # Requests
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CommandRequest:
+class CommandRequest(_Record):
     """A parsed invocation: the subcommand and a dict from each flag given
     (defaults count as given) to its value, converted through _FLAGS: a
     spec, a grid tuple, an int, a float or a _FlagRational.
@@ -224,8 +223,7 @@ class CommandRequest:
     perfbench/spans.py wraps from_argv to time it as cli.parse_s.
     """
 
-    command: str
-    options: dict[str, object]
+    __slots__ = __match_args__ = ("command", "options")
 
     @classmethod
     def from_argv(cls, argv):
@@ -453,7 +451,9 @@ def _cmd_check_lemmas(opts):
     if isinstance(spec, CofiniteTail) and limit >= 3 * spec.start + 3:
         checks.append((f"cofinite-strict(start={spec.start})",
                        check_cofinite_monotonicity(table)))
-    rows = [dict(name=name, **asdict(rep)) for name, rep in checks]
+    rows = [dict(name=name, ok=rep.ok, checked=rep.checked,
+                 first_violation=rep.first_violation, note=rep.note)
+            for name, rep in checks]
     obj = {
         "set": str(spec),
         "limit": limit,

@@ -56,26 +56,23 @@ import decimal
 import math
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
 
-from .partsets import (AllParts, CofiniteTail, FiniteParts, PartSetSpec,
-                       ResidueParts, _validate_increasing, enumerate_parts,
-                       iter_parts)
+from ._record import _Record
+from .partsets import (AllParts, CofiniteTail, FiniteParts, ResidueParts,
+                       _validate_increasing, enumerate_parts, iter_parts)
 
 # Direct enumeration is exponential; keep it to oracle-sized inputs.
 BRUTEFORCE_LIMIT = 40
 
 
-@dataclass(frozen=True)
-class PartitionTable:
-    """Counts p_A(0), ..., p_A(limit) for one part set, exact integers."""
+class PartitionTable(_Record):
+    """Counts p_A(0), ..., p_A(limit) for one part set, exact integers:
+    values is the tuple of them."""
 
-    spec: PartSetSpec
-    limit: int
-    values: tuple[int, ...]
+    __slots__ = __match_args__ = ("spec", "limit", "values")
 
     def __getitem__(self, n) -> int:
         if not 0 <= n <= self.limit:
@@ -499,14 +496,14 @@ def scaled_count(table, d, n) -> int:
 # Structural checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(_Record):
     """Result of one exhaustive inequality check over a finite range."""
 
-    ok: bool
-    checked: int
-    first_violation: Optional[tuple] = None
-    note: str = ""
+    __slots__ = __match_args__ = ("ok", "checked", "first_violation", "note")
+
+    def __init__(self, ok: bool, checked: int,
+                 first_violation: Optional[tuple] = None, note: str = ""):
+        super().__init__(ok, checked, first_violation, note)
 
     def __bool__(self):
         return self.ok

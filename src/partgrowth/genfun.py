@@ -43,14 +43,14 @@ same either way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, repeat, takewhile
 from operator import floordiv, mul, neg, sub
 
-from .partsets import (FiniteParts, PartSetSpec, _validate_increasing,
-                       block_counts, iter_parts, primes_upto)
+from ._record import _Record
+from .partsets import (FiniteParts, _validate_increasing, block_counts,
+                       iter_parts, primes_upto)
 from .reports import ProbeReport, default_band, judge_tail
 
 PI2_OVER_6 = math.pi * math.pi / 6.0
@@ -97,8 +97,7 @@ def _lcm_upto(n) -> int:
 # Coefficient series
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoefficientSeries:
+class CoefficientSeries(_Record):
     """b_1..b_limit of log F for one part set, held as the ints sigma_A(l).
 
     sigma[l] is the sum of the members of A that divide l (sigma[0] = 0),
@@ -107,9 +106,8 @@ class CoefficientSeries:
     _counts the counting function A(n) that mobius_invert_sums reads.
     """
 
-    spec: PartSetSpec
-    limit: int
-    sigma: tuple[int, ...]
+    __match_args__ = ("spec", "limit", "sigma")
+    __slots__ = __match_args__ + ("__dict__",)  # holds the cached views
 
     @cached_property
     def coeffs(self) -> tuple[Fraction, ...]:

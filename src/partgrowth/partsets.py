@@ -37,11 +37,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress, repeat
 from operator import floordiv, sub
 from typing import NamedTuple, Union
+
+from ._record import _Record
 
 
 class PartFileError(ValueError):
@@ -56,27 +57,27 @@ class UnsupportedNormalizationError(ValueError):
 # Spec variants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AllParts:
+class AllParts(_Record):
     """Every positive integer."""
+
+    __slots__ = ()
 
     def __str__(self):
         return "all"
 
 
-@dataclass(frozen=True)
-class FiniteParts:
+class FiniteParts(_Record):
     """An explicit finite list, strictly increasing, all parts >= 1.
 
     A list read from a file keeps the path as source and prints as file:SOURCE.
     """
 
-    parts: tuple[int, ...]
-    source: str = ""
+    __slots__ = __match_args__ = ("parts", "source")
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        _validate_increasing(self.parts, "finite parts")
+    def __init__(self, parts: tuple[int, ...], source: str = ""):
+        parts = tuple(parts)
+        _validate_increasing(parts, "finite parts")
+        super().__init__(parts, source)
 
     def __str__(self):
         if self.source:
@@ -84,46 +85,46 @@ class FiniteParts:
         return "finite:" + ",".join(str(a) for a in self.parts)
 
 
-@dataclass(frozen=True)
-class ResidueParts:
+class ResidueParts(_Record):
     """All positive integers congruent to one of `residues` mod `modulus`.
 
     Residues live in [1, modulus]; the residue equal to the modulus stands
     for the 0 class (m, 2m, 3m, ...), keeping every member >= 1.
     """
 
-    modulus: int
-    residues: tuple[int, ...]
+    __slots__ = __match_args__ = ("modulus", "residues")
 
-    def __post_init__(self):
-        object.__setattr__(self, "residues", tuple(self.residues))
-        _validate_increasing((self.modulus,), "modulus")
-        _validate_increasing(self.residues, "residues")
-        for r in self.residues:
-            if r > self.modulus:
-                raise ValueError(f"residue {r} exceeds modulus {self.modulus}")
+    def __init__(self, modulus: int, residues: tuple[int, ...]):
+        residues = tuple(residues)
+        _validate_increasing((modulus,), "modulus")
+        _validate_increasing(residues, "residues")
+        for r in residues:
+            if r > modulus:
+                raise ValueError(f"residue {r} exceeds modulus {modulus}")
+        super().__init__(modulus, residues)
 
     def __str__(self):
         rs = ",".join(str(r) for r in self.residues)
         return f"mod:{self.modulus}:{rs}"
 
 
-@dataclass(frozen=True)
-class CofiniteTail:
+class CofiniteTail(_Record):
     """All integers >= start (a cofinite set when start > 1)."""
 
-    start: int
+    __slots__ = __match_args__ = ("start",)
 
-    def __post_init__(self):
-        _validate_increasing((self.start,), "cofinite start")
+    def __init__(self, start: int):
+        _validate_increasing((start,), "cofinite start")
+        super().__init__(start)
 
     def __str__(self):
         return f"cofinite:{self.start}"
 
 
-@dataclass(frozen=True)
-class PrimeParts:
+class PrimeParts(_Record):
     """The prime numbers."""
+
+    __slots__ = ()
 
     def __str__(self):
         return "primes"
@@ -424,8 +425,7 @@ def normalize_by_gcd(spec, d) -> PartSetSpec:
 # Density profile
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DensityProfile:
+class DensityProfile(_Record):
     """Exact counting ratios A(x)/x on a grid, with suffix min/max summaries.
 
     tail_min[i] / tail_max[i] are the min and max of ratios[i:], i.e. the
@@ -433,11 +433,8 @@ class DensityProfile:
     stand in for the lower and upper density of the set.
     """
 
-    spec: PartSetSpec
-    grid: tuple[int, ...]
-    ratios: tuple[Fraction, ...]
-    tail_min: tuple[Fraction, ...]
-    tail_max: tuple[Fraction, ...]
+    __slots__ = __match_args__ = ("spec", "grid", "ratios", "tail_min",
+                                  "tail_max")
 
 
 #: c_L / c_S of _prime_route_costs, in sieve steps per x^(3/4).

@@ -9,8 +9,9 @@ report says so in its metadata.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+
+from ._record import _Record
 
 
 def frac_str(q) -> str:
@@ -30,26 +31,26 @@ def trend_direction(values) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(_Record):
     """Outcome of one finite-scale probe.
 
     xs/values hold the sampled grid; target_low/target_high the admissible
     band; tail_min/tail_max the extremes over the defined samples of the
     tail portion actually judged (None when it has none); direction the
-    strict trend over the whole grid (+1/-1/0).
+    strict trend over the whole grid (+1/-1/0); meta a dict of its own.
     """
 
-    name: str
-    xs: tuple
-    values: tuple
-    target_low: float | None
-    target_high: float | None
-    passed: bool
-    tail_min: float | None
-    tail_max: float | None
-    direction: int
-    meta: dict = field(default_factory=dict)
+    __slots__ = __match_args__ = (
+        "name", "xs", "values", "target_low", "target_high", "passed",
+        "tail_min", "tail_max", "direction", "meta")
+
+    def __init__(self, name: str, xs: tuple, values: tuple,
+                 target_low: float | None, target_high: float | None,
+                 passed: bool, tail_min: float | None, tail_max: float | None,
+                 direction: int, meta: dict | None = None):
+        super().__init__(name, xs, values, target_low, target_high, passed,
+                         tail_min, tail_max, direction,
+                         {} if meta is None else meta)
 
     def __bool__(self):
         return self.passed
