@@ -241,10 +241,11 @@ def _emit(opts, obj, columns):
 
     The report streams to stdout or the --out file as it is encoded, so
     no string of the whole document is ever held.  A reader that closes
-    stdout early ends the report quietly, with the handler's exit code.  allow_nan=False stays
-    as a bug trap: a NaN or infinity in a report is a bug, not JSON, and
-    would stop the report half-written.  No reachable input puts one
-    there; the exit-contract fuzz of the CLI's tests checks that.
+    stdout early ends the report quietly, with the handler's exit code.
+    allow_nan=False stays as a bug trap: a NaN or infinity in a report is
+    a bug, not JSON, and would stop the report half-written.  No
+    reachable input puts one there; the exit-contract fuzz of the CLI's
+    tests checks that.
     """
     path = opts.get("out")
     with (open(path, "w", encoding="utf-8") if path

@@ -14,22 +14,22 @@ p_A(0..limit) from the part set, between two routes.
     a pass only for the other excluded parts.
   * The coin DP (table_from_parts), O(limit * |A cap [1, limit]|).
 
-The route with the smaller estimated cost wins, the coin DP on a tie
-(see partition_table): all parts, the odd parts and other dense residue
-sets, and cofinite tails with a short gap take the quotient; the primes,
-sparse finite and file sets, and long-gap tails such as cofinite:1500 at
-limit 2000 take the coin DP.  Parts larger than the table
-limit can never occur in a partition of n <= limit, so truncating the
-part set at the limit is lossless and the table is exact (Python integers
-keep it exact at any size).  pentagonal_table is the quotient with
-numerator 1; table_from_parts on the parts 1..limit is the coin-DP
-reference it is checked against, and count_partitions_bruteforce a third
-route by direct enumeration for tiny n.
+_table_costs prices both by _costs.STEP_PS before either is built; the
+cheaper wins, the coin DP on a tie.  So all parts, the odd parts and
+other dense residue sets, and cofinite tails with a short gap take the
+quotient; the primes, sparse finite and file sets, and long-gap tails
+such as cofinite:1500 at limit 2000 take the coin DP.  Parts larger than
+the table limit can never occur in a partition of n <= limit, so
+truncating the part set at the limit is lossless and the table is exact
+(Python integers keep it exact at any size).  pentagonal_table is the
+quotient with numerator 1; table_from_parts on the parts 1..limit is the
+coin-DP reference it is checked against, and count_partitions_bruteforce
+a third route by direct enumeration for tiny n.
 
 grid_counts serves the callers that read p_A only at the points of a
 grid (the growth ratios, the probes, the polynomial law).  It picks, by
-estimated cost alone (_point_route_costs), between one table to the
-grid's end and a third route, one sum per point:
+price alone (_grid_costs), between one table to the grid's end and a
+third route, one sum per point:
 
   * The Hardy-Ramanujan-Rademacher series (_hrr_count), for all parts
     only.  p(n) = sum_{k>=1} 4/(24n-1) * S_k(n) * U(C/k) with
@@ -60,9 +60,11 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
 
+from ._costs import STEP_PS
 from ._record import _Record
-from .partsets import (AllParts, CofiniteTail, FiniteParts, ResidueParts,
-                       _validate_increasing, enumerate_parts, iter_parts)
+from .partsets import (AllParts, CofiniteTail, FiniteParts, PrimeParts,
+                       ResidueParts, _validate_increasing, counting_function,
+                       enumerate_parts, iter_parts)
 
 # Direct enumeration is exponential; keep it to oracle-sized inputs.
 BRUTEFORCE_LIMIT = 40
@@ -102,19 +104,16 @@ def table_from_parts(parts, limit, spec=None) -> PartitionTable:
 
 
 def partition_table(spec, limit) -> PartitionTable:
-    """Exact p_A(n) for 0 <= n <= limit.
-
-    Takes the Euler quotient N_A(x) / E(x) when its estimated cost,
-    limit * (pentagonal offsets <= limit + passes to build N_A), is below
-    the coin DP's, sum over parts a <= limit of (limit - a + 1); otherwise
-    the coin DP.  See _route for the numerator.
-    """
-    numerator = _route(spec, limit)
-    if numerator is None:
+    """Exact p_A(n) for 0 <= n <= limit, by the route _table_costs prices
+    lower: the coin DP, or the Euler quotient over _numerator."""
+    if limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
+    costs = _table_costs(spec, limit)
+    if min(costs, key=costs.get) == "coin":
         parts = enumerate_parts(spec, limit) if limit >= 1 else []
         return table_from_parts(parts, limit, spec=spec)
-    return PartitionTable(spec=spec, limit=limit,
-                          values=tuple(_euler_quotient(numerator, limit)))
+    values = _euler_quotient(_numerator(spec, limit), limit)
+    return PartitionTable(spec=spec, limit=limit, values=tuple(values))
 
 
 def _euler_step(spec, limit) -> int:
@@ -132,35 +131,51 @@ def _euler_step(spec, limit) -> int:
                  if m % d == 0 and all(r % d for r in spec.residues)), 0)
 
 
-def _route(spec, limit) -> Optional[list[int]]:
-    """The numerator N_A(0..limit) for the Euler quotient, or None when
-    the coin DP is estimated to cost no more.
+def _table_costs(spec, limit) -> dict:
+    """Picoseconds of the coin DP and the quotient to p_A(0..limit): the
+    coin DP takes limit - a + 1 steps per part a <= limit, summed in
+    closed form per run of parts (one for all parts or a tail, one per
+    residue class) or over a finite set's slice; the quotient limit *
+    (pentagonal offsets <= limit + passes), passes = limit - A(limit) -
+    limit // d for the step d of _euler_step.  The primes need no sum:
+    their coin DP costs at most limit * A(limit), and as 2 is the only
+    even prime, A(limit) <= passes + 1 <= passes + offsets."""
+    parts = counting_function(spec, limit)
+    d = _euler_step(spec, limit)
+    passes = limit - parts - (limit // d if d else 0)
+    s = math.isqrt(24 * limit + 1)   # k(3k -+ 1)/2 <= limit for k <= (s +- 1)/6
+    quotient = limit * ((s + 1) // 6 + (s - 1) // 6 + passes)
+    if isinstance(spec, FiniteParts):
+        coin = (limit + 1) * parts - sum(spec.parts[:parts])
+    elif isinstance(spec, PrimeParts):
+        coin = limit * parts
+    else:                               # all parts are the tail from 1
+        runs = ([range(r, limit + 1, spec.modulus) for r in spec.residues]
+                if isinstance(spec, ResidueParts) else
+                [range(getattr(spec, "start", 1), limit + 1)])
+        coin = sum(len(run) * (2 * limit + 2 - run[0] - run[-1]) // 2
+                   for run in runs if run)
+    return {"coin": STEP_PS["table"] * coin,
+            "quotient": STEP_PS["table"] * quotient}
 
-    N_A starts as E(x^d) for the step d of _euler_step (1 when there is
-    none) and takes one pass of (1 - x^a) for every other excluded a.
-    """
-    if limit < 1:
-        return None
+
+def _numerator(spec, limit) -> list[int]:
+    """N_A(0..limit): E(x^d) for the step d of _euler_step (1 when there
+    is none), then one pass of (1 - x^a) for every other excluded a."""
     member = bytearray(limit + 1)
-    coin_cost = 0
     for a in iter_parts(spec, limit):
         member[a] = 1
-        coin_cost += limit - a + 1
     d = _euler_step(spec, limit)
-    excluded = [a for a in range(1, limit + 1)
-                if not member[a] and (d == 0 or a % d)]
-    plus, minus = _pentagonal_offsets(limit)
-    if limit * (len(plus) + len(minus) + len(excluded)) >= coin_cost:
-        return None
-    numerator = [0] * (limit + 1)
-    numerator[0] = 1
+    numerator = [1] + [0] * limit
     if d:
         # E(x^d): -1 where the recurrence adds, +1 where it subtracts
+        plus, minus = _pentagonal_offsets(limit // d)
         for offsets, sign in ((plus, -1), (minus, 1)):
-            for g in offsets[:bisect_right(offsets, limit // d)]:
+            for g in offsets:
                 numerator[d * g] = sign
-    for a in excluded:
-        numerator[a:] = [u - v for u, v in zip(numerator[a:], numerator)]
+    for a in range(1, limit + 1):
+        if not member[a] and (d == 0 or a % d):
+            numerator[a:] = [u - v for u, v in zip(numerator[a:], numerator)]
     return numerator
 
 
@@ -247,15 +262,15 @@ def grid_counts(spec, grid) -> tuple[int, ...]:
     sequence of ints >= 1.
 
     Builds one table to grid[-1], or, for all parts, sums the
-    Hardy-Ramanujan-Rademacher series at each point when
-    _point_route_costs prices that lower.  The points the series leaves
-    unsettled are read off one table to the largest of them.
+    Hardy-Ramanujan-Rademacher series at each point when _grid_costs
+    prices that lower.  The points the series leaves unsettled are read
+    off one table to the largest of them.
     """
     grid = tuple(grid)
     _validate_increasing(grid, "grid")
-    table_cost, point_cost = _point_route_costs(spec, grid)
+    costs = _grid_costs(spec, grid)
     counts = [None] * len(grid)
-    if point_cost < table_cost:
+    if min(costs, key=costs.get) == "series":
         counts = [_hrr_count(n) for n in grid]
     missed = [n for n, c in zip(grid, counts) if c is None]
     if missed:
@@ -264,31 +279,15 @@ def grid_counts(spec, grid) -> tuple[int, ...]:
     return tuple(counts)
 
 
-#: c of _point_route_costs: one step of the series in quotient steps.
-_HRR_COST = 6
-
-
-def _point_route_costs(spec, grid):
-    """(table, points): the estimated cost of the counts on grid as one
-    Euler quotient to grid[-1], grid[-1] * (pentagonal offsets <= it) as
-    in partition_table, and as one series sum per point, c * N(n)^2 for
-    the N(n) = _term_count(n) terms at n (the Selberg sums S_1..S_N scan
-    about N^2 indices).  points is inf for every set but all parts.
-
-    Best of several runs on a 2-vCPU machine (Python 3.11): the quotient
-    took 52-80 ns per step at limits 500 to 50000, and the series
-    250-560 ns per N^2 at n = 100 to 10**6, so c = 6.  The benchmark
-    grid geo:1000:50000:2.5 prices at (18200000, 245334): the table to
-    50000 took about 1 s and the six sums 11 ms.  geo:1:2000:1.01
-    (409 points) prices at (144000, 2290908) and takes the table; a
-    lone point takes the series from about n = 250 on.
-    """
-    limit = grid[-1]
-    s = math.isqrt(24 * limit + 1)   # k(3k -+ 1)/2 <= limit for k <= (s +- 1)/6
-    table = limit * ((s + 1) // 6 + (s - 1) // 6)
-    if not isinstance(spec, AllParts):
-        return table, math.inf
-    return table, _HRR_COST * sum(_term_count(n) ** 2 for n in grid if n >= 2)
+def _grid_costs(spec, grid) -> dict:
+    """Picoseconds of one table to grid[-1] (by _table_costs) and, for all
+    parts, of one series sum per point: its N(n) = _term_count(n) Selberg
+    sums scan about N(n)^2 indices.  A lone n >= 210 takes the series."""
+    costs = {"table": min(_table_costs(spec, grid[-1]).values())}
+    if isinstance(spec, AllParts):
+        costs["series"] = STEP_PS["series"] * sum(
+            _term_count(n) ** 2 for n in grid if n >= 2)
+    return costs
 
 
 #: Rademacher's bound on the tail of the series after N terms, n >= 2

@@ -35,9 +35,8 @@ exact prefix walk of D*S(n) with D = lcm(1..M), and takes each point
 past M from a fixed-point enclosure T <= 2**P * S(n) <= T + E of the
 same divisor sum (_enclosed_mean): when both ends round to one float,
 that float is S(n)/n correctly rounded, and otherwise the exact divisor
-sum decides.  The cut weighs the walk's M * bits(D) against c * n for
-each point it leaves to the enclosure (_grid_cut); the floats are the
-same either way.
+sum decides.  _cut_costs prices every cut by _costs.STEP_PS before
+anything is walked; the floats are the same whichever cut it takes.
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, chain, repeat, takewhile
 from operator import floordiv, mul, neg, sub
 
+from ._costs import STEP_PS
 from ._record import _Record
 from .partsets import (FiniteParts, _validate_increasing, block_counts,
                        iter_parts, primes_upto)
@@ -335,9 +335,9 @@ def log_gf(spec, x, *, tail_tol=1e-9) -> float:
     if not 0.0 < x < 1.0:
         raise ValueError(f"x must lie in (0, 1), got {x}")
     finite = isinstance(spec, FiniteParts)
-    if not (tail_tol > 0 or tail_tol == 0 and finite):
-        raise ValueError(
-            f"tail_tol must be > 0, or 0 for a finite set, got {tail_tol}")
+    if not (0 < tail_tol < math.inf or tail_tol == 0 and finite):
+        raise ValueError(f"tail_tol must be finite and > 0, or 0 for a "
+                         f"finite set, got {tail_tol}")
     t = _neg_log(x)
     k = _small_part_end(t)
     cutoff = min(spec.parts[-1] if finite else _tail_cutoff(x, tail_tol),
@@ -451,51 +451,33 @@ def _enclosed_mean(spec, n) -> float:
     return float(sums_via_counting(spec, n) / n)
 
 
-#: c of _grid_cut: one enclosure step per n, in prefix-walk steps.
-_POINT_COST = 120
-
-
-def _grid_cut(grid) -> int:
-    """The cut M in {0} | grid below which tauberian_probe reads S(n) off
-    one prefix walk; 0 sends every point to _enclosed_mean.
-
-    Cost model, with bits(lcm(1..M)) ~ M * log2(e) by the prime number
-    theorem (the common factor log2(e) is dropped):
-
-        walk to M:   M * bits(lcm(1..M))    ~ M * M
-        point n:     c * n                  (n small-int floors)
-
-    and M minimises walk(M) + the sum of point(n) over n > M.  c = 120 was
-    measured on a 2-vCPU machine (Python 3.11) for mod:2:1, the primes
-    and all: the walk with a float at every n took 1.3-1.8 ns per M * M
-    at M = 2000..20000, and _enclosed_mean 80-280 ns per n at
-    n = 2000..10**6, so c lies between about 100 and 200.  A dense grid
-    is one walk, and a lone point n > c takes the enclosure.  Both routes
-    give the same floats, so c moves only the time.
-    """
-    tail = 0
-    best, cut = _POINT_COST * sum(grid), 0
+def _cut_costs(grid) -> dict:
+    """Picoseconds of tauberian_probe at each cut M in {0} | grid (0 first,
+    then the larger M): M * M steps of the prefix walk to M, as
+    bits(lcm(1..M)) ~ M log2(e) by the prime number theorem, and n steps
+    of _enclosed_mean for each point n > M.  A lone n >= 120 takes the
+    enclosure."""
+    walk, point = STEP_PS["walk"], STEP_PS["enclosure"]
+    costs, tail = {0: point * sum(grid)}, 0
     for m in reversed(grid):
-        cost = m * m + tail
-        if cost < best:
-            best, cut = cost, m
-        tail += _POINT_COST * m
-    return cut
+        costs[m] = walk * m * m + point * tail
+        tail += m
+    return costs
 
 
 def tauberian_probe(spec, target_rate, n_grid, *, rel_tol=0.01) -> ProbeReport:
     """Sample S(n)/n on an n-grid against a claimed linear growth rate.
 
-    The points up to the cut M = _grid_cut(grid) are read off one exact
-    walk of D*S(n) = sum_{l <= n} (D/l) * sigma_A(l), n = 1..M, with
-    D = lcm(1..M), keeping only the float x / (D*n) at each point; the
-    points past M each take _enclosed_mean, O(n) small-int work.  A dense
-    grid costs one O(M * bits(D)) walk instead of |grid| enclosures, and
-    a sparse grid of large n skips the walk.  The walk divides the exact
-    rational once with correct rounding, and the enclosure returns a
-    float only when both its ends round to it, falling back to
-    sums_via_counting when they do not; so every value is
-    float(S(n) / n) bit for bit, whichever route took it.
+    The points up to the cut M that _cut_costs prices lowest are read
+    off one exact walk of D*S(n) = sum_{l <= n} (D/l) * sigma_A(l),
+    n = 1..M, with D = lcm(1..M), keeping only the float x / (D*n) at
+    each point; the points past M each take _enclosed_mean, O(n)
+    small-int work.  A dense grid costs one O(M * bits(D)) walk instead
+    of |grid| enclosures, and a sparse grid of large n skips the walk.
+    The walk divides the exact rational once with correct rounding, and
+    the enclosure returns a float only when both its ends round to it,
+    falling back to sums_via_counting when they do not; so every value
+    is float(S(n) / n) bit for bit, whichever route took it.
 
     The ratio is compared to target_rate (for density-d sets:
     pi^2 d / 6) with relative slack rel_tol on the tail samples.
@@ -509,7 +491,8 @@ def tauberian_probe(spec, target_rate, n_grid, *, rel_tol=0.01) -> ProbeReport:
         raise ValueError(
             f"target rate must be finite and >= 0, got {target_rate}")
     lo, hi = default_band(target, rel_tol)
-    cut = _grid_cut(grid)
+    costs = _cut_costs(grid)
+    cut = min(costs, key=costs.get)
     values = []
     if cut:
         D = _lcm_upto(cut)

@@ -30,7 +30,7 @@ most one block of flags counted in C, and iter_parts streams the primes
 off the flags.  Past them, prime_count and block_counts run Lucy's
 sieve, O(x^(3/4)) time and O(sqrt(x)) memory, and leave the cache as it
 is; so the same count can take a table read inside the cache and x^(3/4)
-steps past it.
+steps past it.  density_profile prices both by _costs.STEP_PS first.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from itertools import accumulate, chain, compress, repeat
 from operator import floordiv, sub
 from typing import NamedTuple, Union
 
+from ._costs import STEP_PS
 from ._record import _Record
 
 
@@ -437,38 +438,24 @@ class DensityProfile(_Record):
                                   "tail_max")
 
 
-#: c_L / c_S of _prime_route_costs, in sieve steps per x^(3/4).
-_LUCY_COST = 15
-
-
-def _prime_route_costs(grid):
-    """(lucy, sieve): the estimated cost of pi(x) at every grid point, as
-    one _lucy(x) per point, c_L * sum of x^(3/4), and as one sieve to
-    grid[-1], c_S * grid[-1], in sieve steps per integer.
-
-    Medians of nine runs on a 2-vCPU machine (Python 3.11): _lucy took
-    172, 133 and 112 ns per n^(3/4) at n = 10**6, 10**7 and 10**8, and a
-    fresh sieve 7.1 ns per integer to 10**7 and 12.2 ns to 2 * 10**7, as
-    its flags fall out of the CPU caches (3-4 ns to 10**6).  So c_L / c_S
-    is about 19 at 10**7 and 11 at 2 * 10**7, and 15 lies between.  Near
-    the break-even the times differ little, and Lucy holds O(sqrt(x))
-    memory where the sieve holds a byte per integer.
-    """
-    lucy = _LUCY_COST * sum(math.isqrt(x * math.isqrt(x)) for x in grid)
-    return lucy, grid[-1]
+def _prime_costs(grid) -> dict:
+    """Picoseconds of pi on grid: a sieve to grid[-1], or x^(3/4) per x."""
+    return {"sieve": STEP_PS["sieve"] * grid[-1],
+            "lucy": STEP_PS["lucy"] * sum(math.isqrt(x * math.isqrt(x))
+                                          for x in grid)}
 
 
 def density_profile(spec, grid) -> DensityProfile:
     """Sample A(x)/x exactly on a strictly increasing grid of integers.
 
-    The primes take the cheaper route of _prime_route_costs: one sieve to
-    the grid's end, or prime_count's Lucy at each point past the cache.
+    The primes take the cheaper route of _prime_costs: one sieve to the
+    grid's end, or prime_count's Lucy at each point past the cache.
     """
     grid = tuple(grid)
     _validate_increasing(grid, "density grid")
     if isinstance(spec, PrimeParts):
-        lucy, sieve = _prime_route_costs(grid)
-        if sieve <= lucy:
+        costs = _prime_costs(grid)
+        if min(costs, key=costs.get) == "sieve":
             _ensure_sieved(grid[-1])
     # largest point first, so the suffix extremes are running ones
     backward = [Fraction(counting_function(spec, x), x) for x in reversed(grid)]

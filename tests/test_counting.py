@@ -1,18 +1,18 @@
 """Exact tables, the pentagonal recurrence, and the structural checks."""
 
-import math
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from partgrowth import counting
+from partgrowth import counting, genfun, partsets
 from partgrowth.cli import parse_grid
 from partgrowth.counting import (_TAIL_TARGET, BRUTEFORCE_LIMIT,
                                  PartitionTable, _euler_quotient, _euler_step,
-                                 _hrr_count, _hrr_sum, _point_route_costs,
-                                 _route, _tail_bound,
+                                 _grid_costs, _hrr_count, _hrr_sum,
+                                 _pentagonal_offsets, _table_costs, _tail_bound,
                                  check_cofinite_monotonicity,
                                  check_shift_monotonicity, check_window_max,
                                  count_partitions_bruteforce, grid_counts,
@@ -20,7 +20,8 @@ from partgrowth.counting import (_TAIL_TARGET, BRUTEFORCE_LIMIT,
                                  scaled_count, table_from_parts,
                                  window_max_location)
 from partgrowth.partsets import (AllParts, CofiniteTail, FiniteParts,
-                                 PrimeParts, ResidueParts, enumerate_parts)
+                                 PrimeParts, ResidueParts, enumerate_parts,
+                                 iter_parts)
 
 FAMILY = [
     AllParts(),
@@ -191,7 +192,7 @@ def test_partition_table_routes_agree(spec, limit, data):
     (CofiniteTail(1500), False),
 ])
 def test_route_choices_at_2000(spec, quotient):
-    assert (_route(spec, 2000) is not None) == quotient
+    assert (_pick("table", spec, 2000) == "quotient") == quotient
 
 
 @pytest.mark.parametrize("spec, step", [
@@ -222,14 +223,14 @@ def test_huge_modulus_table_matches_the_coin_dp(spec, quotient):
     # trial division of m to sqrt(m) would not finish; the step scan
     # stops at the limit
     limit = 60
-    assert (_route(spec, limit) is not None) == quotient
+    assert (_pick("table", spec, limit) == "quotient") == quotient
     dp = table_from_parts(enumerate_parts(spec, limit), limit)
     assert partition_table(spec, limit).values == dp.values
 
 
 def test_odd_parts_quotient_matches_dp_at_3000():
     spec = ResidueParts(2, (1,))
-    assert _route(spec, 3000) is not None
+    assert _pick("table", spec, 3000) == "quotient"
     dp = table_from_parts(enumerate_parts(spec, 3000), 3000)
     assert partition_table(spec, 3000).values == dp.values
 
@@ -310,20 +311,21 @@ def test_grid_route_choice_is_estimate_only(monkeypatch):
 
     for name in ("_hrr_sum", "partition_table", "_euler_quotient"):
         monkeypatch.setattr(counting, name, refuse)
-    table, points = _point_route_costs(AllParts(), parse_grid("geo:1:2000:1.01"))
-    assert table < points
-    # the figures in _point_route_costs' docstring
-    assert _point_route_costs(AllParts(), BENCH_GRID) == (18_200_000, 245_334)
+    # 144000 table steps at 60 ns against 381818 series steps at 360 ns
+    assert _grid_costs(AllParts(), parse_grid("geo:1:2000:1.01")) == {
+        "table": 8_640_000_000, "series": 137_454_480_000}
+    # the figures in STEP_PS' docstring: 18200000 and 40889 steps
+    assert _grid_costs(AllParts(), BENCH_GRID) == {
+        "table": 1_092_000_000_000, "series": 14_720_040_000}
     assert parse_grid("geo:1000:50000:2.5") == BENCH_GRID
     for spec in FAMILY[1:]:
-        assert _point_route_costs(spec, BENCH_GRID)[1] == math.inf, spec
+        assert set(_grid_costs(spec, BENCH_GRID)) == {"table"}, spec
 
 
 def test_forced_fallback_reads_the_table(monkeypatch, pentagonal_50k):
     # too few guard digits: every decimal term's rounding bound is huge
     grid = (300, 600, 1200)
-    table, points = _point_route_costs(AllParts(), grid)
-    assert points < table
+    assert _pick("grid", AllParts(), grid) == "series"
     monkeypatch.setattr(counting, "_GUARD_DIGITS", -12)
     assert [_hrr_count(n) for n in grid] == [None] * 3
     built = []
@@ -342,6 +344,171 @@ def test_grid_counts_match_the_table_for_every_set():
     for spec in FAMILY:
         table = partition_table(spec, grid[-1])
         assert grid_counts(spec, grid) == tuple(table[n] for n in grid), spec
+
+
+# -- every chooser's pick ---------------------------------------------------
+
+#: (chooser, set, limit or grid, the route it picks) on every benchmark
+#: operation's input, every golden input and the edge cases above.  The
+#: choosers are partition_table ("table": coin or quotient), grid_counts
+#: ("grid": table or series), density_profile for the primes ("primes":
+#: sieve or lucy) and tauberian_probe's cut ("cut": the M it keeps).
+PICKS = [
+    # the benchmark's operations
+    ("table", ResidueParts(2, (1,)), 20_000, "quotient"),
+    ("grid", ResidueParts(2, (1,)), (2000, 10_000, 20_000), "table"),
+    ("table", PrimeParts(), 20_000, "coin"),
+    ("grid", PrimeParts(), (2000, 10_000, 20_000), "table"),
+    ("table", CofiniteTail(3), 5000, "quotient"),
+    ("table", ResidueParts(4, (1, 3)), 2000, "quotient"),
+    ("table", CofiniteTail(3), 2000, "quotient"),
+    ("grid", FiniteParts((1, 2, 3)), "geo:100:2000:2", "table"),
+    ("table", FiniteParts((1, 2, 3)), 2000, "coin"),
+    ("grid", FiniteParts((3, 5)), (1, 7), "table"),
+    ("table", FiniteParts((3, 5)), 7, "coin"),
+    ("grid", FiniteParts((2, 3)), (1, 2), "table"),
+    ("table", FiniteParts((2, 3)), 2, "coin"),
+    ("grid", AllParts(), "geo:1000:50000:2.5", "series"),
+    ("primes", PrimeParts(), "geo:1000:10000000:2", "lucy"),
+    ("cut", None, (10_000, 50_000, 100_000), 0),
+    ("cut", None, "geo:1:2000:1.0001", 2000),
+    # the golden inputs
+    ("table", AllParts(), 30, "quotient"),
+    ("table", CofiniteTail(3), 30, "quotient"),
+    ("table", ResidueParts(4, (1, 3)), 20, "coin"),
+    ("primes", PrimeParts(), (1, 10, 100), "sieve"),
+    ("grid", AllParts(), (1, 10, 50, 120), "table"),
+    ("table", AllParts(), 120, "quotient"),
+    ("grid", CofiniteTail(3), (1, 10, 50, 120), "table"),
+    ("table", CofiniteTail(3), 120, "quotient"),
+    ("grid", FiniteParts((1, 2, 3)), (10, 50, 100), "table"),
+    ("table", FiniteParts((1, 2, 3)), 100, "coin"),
+    ("table", AllParts(), 60, "quotient"),
+    ("table", CofiniteTail(3), 60, "quotient"),
+    ("table", FiniteParts((2, 3)), 40, "coin"),
+    ("grid", ResidueParts(2, (1,)), (50, 100, 200), "table"),
+    ("table", ResidueParts(2, (1,)), 200, "quotient"),
+    ("grid", CofiniteTail(3), (50, 100, 200), "table"),
+    ("table", CofiniteTail(3), 200, "quotient"),
+    ("grid", PrimeParts(), (50, 100, 200, 400), "table"),
+    ("table", PrimeParts(), 400, "coin"),
+    ("grid", ResidueParts(3, (1, 2)), (50, 100, 200), "table"),
+    ("table", ResidueParts(3, (1, 2)), 200, "quotient"),
+    ("cut", None, (50, 100, 200), 100),
+    ("cut", None, (50, 100), 100),
+    ("cut", None, "geo:1:300:1.0001", 300),
+    # edge cases
+    ("table", AllParts(), 0, "coin"),
+    ("table", AllParts(), 1, "coin"),
+    ("table", AllParts(), 2, "coin"),
+    ("table", PrimeParts(), 2000, "coin"),
+    ("table", PrimeParts(), 3, "coin"),
+    ("table", ResidueParts(6, (1, 2, 4, 5)), 2000, "quotient"),
+    ("table", CofiniteTail(1500), 2000, "coin"),
+    ("table", ResidueParts(2, (1,)), 3000, "quotient"),
+    ("table", ResidueParts(5, (1, 4)), 10 ** 6, "coin"),
+    ("table", ResidueParts(10 ** 20, (1,)), 60, "coin"),
+    ("table", ResidueParts(6 * 10 ** 30, (1, 7, 6 * 10 ** 30)), 60, "coin"),
+    ("table", ResidueParts(2 ** 89 - 1, (3, 5)), 60, "coin"),
+    ("table", ResidueParts(2 * 10 ** 20, tuple(range(1, 60, 2))), 60,
+     "quotient"),
+    ("grid", AllParts(), (1,), "series"),
+    ("grid", AllParts(), (2,), "table"),
+    ("grid", AllParts(), (209,), "table"),
+    ("grid", AllParts(), (210,), "series"),
+    ("grid", AllParts(), "geo:1:2000:1.01", "table"),
+    ("grid", AllParts(), (300, 600, 1200), "series"),
+    ("grid", AllParts(), (10 ** 6,), "series"),
+    ("grid", AllParts(), (10 ** 5, 10 ** 6), "series"),
+    ("grid", AllParts(), (1, 7, 40, 333), "table"),
+    ("grid", PrimeParts(), BENCH_GRID, "table"),
+    ("primes", PrimeParts(), (10, 100, 300), "sieve"),
+    ("primes", PrimeParts(), (1000, 2000, 4000, 8000, 16_000, 32_000,
+                              64_000, 100_000), "sieve"),
+    ("primes", PrimeParts(), "geo:1000:1000000:4", "lucy"),
+    ("primes", PrimeParts(), "geo:1:100000:1.0001", "sieve"),
+    ("primes", PrimeParts(), (10 ** 8,), "lucy"),
+    ("primes", PrimeParts(), (10 ** 6,), "lucy"),
+    ("primes", PrimeParts(), (10 ** 4,), "sieve"),
+    ("cut", None, tuple(range(1, 2001)) + (100_000,), 2000),
+    ("cut", None, (1,), 1),
+    ("cut", None, (119,), 119),
+    ("cut", None, (120,), 0),
+]
+
+
+def _pick(chooser, spec, arg):
+    """The route the chooser takes on (spec, arg), from its prices alone."""
+    costs = {"table": lambda: _table_costs(spec, arg),
+             "grid": lambda: _grid_costs(spec, arg),
+             "primes": lambda: partsets._prime_costs(arg),
+             "cut": lambda: genfun._cut_costs(arg)}[chooser]()
+    return min(costs, key=costs.get)
+
+
+@pytest.mark.parametrize("chooser, spec, arg, route", PICKS)
+def test_every_chooser_keeps_its_pick(chooser, spec, arg, route):
+    if isinstance(arg, str):
+        arg = parse_grid(arg)
+    assert _pick(chooser, spec, arg) == route
+
+
+def _walked_route(spec, limit):
+    """partition_table's route as it was once priced, by walking every
+    part <= limit: the reference for the closed forms."""
+    if limit < 1:
+        return "coin"
+    member = bytearray(limit + 1)
+    coin_cost = 0
+    for a in iter_parts(spec, limit):
+        member[a] = 1
+        coin_cost += limit - a + 1
+    d = _euler_step(spec, limit)
+    excluded = [a for a in range(1, limit + 1)
+                if not member[a] and (d == 0 or a % d)]
+    plus, minus = _pentagonal_offsets(limit)
+    if limit * (len(plus) + len(minus) + len(excluded)) >= coin_cost:
+        return "coin"
+    return "quotient"
+
+
+@pytest.mark.parametrize("spec, limit, route", [
+    (ResidueParts(5, (1, 4)), 10 ** 9, "coin"),
+    (AllParts(), 10 ** 9, "quotient"),
+    (ResidueParts(2, (1,)), 10 ** 9, "quotient"),
+    (CofiniteTail(1500), 10 ** 9, "quotient"),
+    (PrimeParts(), 10 ** 6, "coin"),
+])
+def test_table_price_is_estimate_only(monkeypatch, spec, limit, route):
+    def refuse(*args):
+        raise AssertionError("the price started building")
+
+    for module, name in [
+            (counting, "iter_parts"), (counting, "enumerate_parts"),
+            (counting, "_euler_quotient"), (counting, "table_from_parts"),
+            (partsets, "iter_parts"), (partsets, "enumerate_parts"),
+            (partsets, "_ensure_sieved")]:
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(partsets, "_prime_sieve", (bytearray(), [0]))
+    tracemalloc.start()
+    try:
+        costs = _table_costs(spec, limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert min(costs, key=costs.get) == route
+    # a byte per integer to 10**9 would be 1 GB; the primes hold Lucy's
+    # lists of isqrt(10**6) ints
+    assert peak < 256_000
+
+
+@given(spec=st.one_of(SWEEP_SPECS, st.just(PrimeParts())),
+       limit=st.integers(0, 2000))
+@example(spec=PrimeParts(), limit=5)
+@example(spec=PrimeParts(), limit=7)
+@example(spec=CofiniteTail(3000), limit=2000)
+def test_table_pick_matches_the_walk_of_the_parts(spec, limit):
+    assert _pick("table", spec, limit) == _walked_route(spec, limit)
 
 
 # -- gcd-scaled counts ------------------------------------------------------

@@ -325,6 +325,9 @@ def test_log_gf_domain_errors():
         log_gf(AllParts(), 0.5, tail_tol=0)
     with pytest.raises(ValueError, match="tail_tol"):
         log_gf(FiniteParts((1,)), 0.5, tail_tol=-1)
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="tail_tol"):
+            log_gf(AllParts(), 0.5, tail_tol=tol)
 
 
 def test_log_gf_against_double_sum_oracle():
@@ -714,7 +717,14 @@ def test_grid_cut_is_estimate_only(monkeypatch):
     for name in ("_lcm_upto", "log_gf_coefficients", "sums_via_counting",
                  "_enclosed_mean"):
         monkeypatch.setattr(genfun, name, None)     # any call would fail
-    assert genfun._grid_cut(parse_grid("geo:1:2000:1.0001")) == 2000
-    assert genfun._grid_cut((10000, 50000, 100000)) == 0
-    assert genfun._grid_cut(tuple(range(1, 2001)) + (100000,)) == 2000
-    assert genfun._grid_cut((1,)) == 1
+
+    def cut(grid):
+        costs = genfun._cut_costs(grid)
+        return min(costs, key=costs.get)
+
+    assert cut(parse_grid("geo:1:2000:1.0001")) == 2000
+    assert cut((10000, 50000, 100000)) == 0
+    assert cut(tuple(range(1, 2001)) + (100000,)) == 2000
+    assert cut((1,)) == 1
+    # a lone point: 1.5 ns * n**2 for the walk against 180 ns * n
+    assert genfun._cut_costs((120,)) == {0: 21_600_000, 120: 21_600_000}

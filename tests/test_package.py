@@ -108,11 +108,15 @@ def test_probe_reports_never_share_a_meta_dict():
 
 
 def test_cli_start_loads_neither_dataclasses_nor_inspect():
-    # both cost start-up time in every CLI process
+    # both cost start-up time in every CLI process; and the runtime is
+    # stdlib-only, so every other top-level module it loads is stdlib
     src = pathlib.Path(__file__).parents[1] / "src"
     done = subprocess.run(
-        [sys.executable, "-S", "-c", "import partgrowth.cli, sys; "
-         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        [sys.executable, "-S", "-c", "import sys; before = set(sys.modules); "
+         "import partgrowth.cli; loaded = set(sys.modules) - before; "
+         "print(sorted({'dataclasses', 'inspect'} & loaded)); "
+         "print(sorted({m.partition('.')[0] for m in loaded} "
+         "- set(sys.stdlib_module_names) - {'partgrowth'}))"],
         capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=str(src)))
-    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+    assert (done.returncode, done.stdout) == (0, "[]\n[]\n"), done.stderr

@@ -479,8 +479,8 @@ def _sieve_counts(grid):
 ])
 def test_density_profile_sieves_once_to_the_grid_end(monkeypatch, grid):
     # a dense grid weighs less as one sieve than as one Lucy per point
-    lucy, sieve = partsets._prime_route_costs(grid)
-    assert sieve <= lucy
+    costs = partsets._prime_costs(grid)
+    assert min(costs, key=costs.get) == "sieve"
     monkeypatch.setattr(partsets, "_prime_sieve", (bytearray(), [0]))
     profile = density_profile(PrimeParts(), grid)
     # a rising grid would double the sieve limit past its end (131072 here)
@@ -492,8 +492,8 @@ def test_density_profile_sieves_once_to_the_grid_end(monkeypatch, grid):
 def test_density_profile_of_a_sparse_prime_grid_leaves_the_flags_empty(
         monkeypatch):
     grid = parse_grid("geo:1000:1000000:4")
-    lucy, sieve = partsets._prime_route_costs(grid)
-    assert lucy < sieve
+    costs = partsets._prime_costs(grid)
+    assert min(costs, key=costs.get) == "lucy"
     monkeypatch.setattr(partsets, "_prime_sieve", (bytearray(), [0]))
     profile = density_profile(PrimeParts(), grid)
     assert partsets._prime_sieve == (bytearray(), [0])
@@ -505,14 +505,17 @@ def test_prime_route_is_estimate_only(monkeypatch):
     for name in ("_lucy", "_ensure_sieved", "counting_function",
                  "prime_count"):
         monkeypatch.setattr(partsets, name, None)   # any call would fail
-    costs = partsets._prime_route_costs
-    # the boundary benchmark's grid: 15 * 555175 against 10**7, Lucy
-    assert costs(parse_grid("geo:1000:10000000:2")) == (8_327_625, 10_000_000)
+    costs = partsets._prime_costs
+    # the boundary benchmark's grid: 555175 Lucy steps at 120 ns against
+    # 10**7 sieve steps at 8 ns, Lucy
+    assert costs(parse_grid("geo:1000:10000000:2")) == {
+        "sieve": 80_000_000_000, "lucy": 66_621_000_000}
     # about 33000 points below 10**5: one sieve
-    assert costs(parse_grid("geo:1:100000:1.0001")) == (
-        1_023_877_425, 100_000)
-    assert costs((10 ** 8,)) == (15_000_000, 10 ** 8)
-    assert costs((10 ** 4,)) == (15_000, 10_000)
+    assert costs(parse_grid("geo:1:100000:1.0001")) == {
+        "sieve": 800_000_000, "lucy": 8_191_019_400_000}
+    assert costs((10 ** 8,)) == {"sieve": 800_000_000_000,
+                                 "lucy": 120_000_000_000}
+    assert costs((10 ** 4,)) == {"sieve": 80_000_000, "lucy": 120_000_000}
 
 
 def test_density_of_the_primes_at_1e8_sieves_nothing_past_2_20(monkeypatch):
