@@ -3,7 +3,8 @@
 Every chooser prices its routes from closed forms, as steps times these
 figures, before it builds anything, and takes min(costs, key=costs.get):
 the route listed first wins a tie.  Only the ratios within a chooser move
-a pick (series = 6 table, lucy = 15 sieve, enclosure = 120 walk steps).
+a pick (series = 6 table, lucy = 15 sieve, enclosure = 120 walk steps,
+pair = 3/4 and dot = 25/6 table steps).
 Best of several runs on a 2-vCPU machine, Python 3.11 (medians of nine
 for the sieve and Lucy):
 
@@ -24,7 +25,16 @@ for the sieve and Lucy):
   enclosure  per n of _enclosed_mean(n): 80-280 ns at n = 2000 to 10**6
              (mod:2:1, the primes, all), so 100-200 walk steps; both
              routes give the same floats, so it moves only the time
+  pair       one small-int step of the split's q: 38-44 ns per step at
+             N = 5000 to 50000 (the primes, mod:5:1,4, mod:7:2,3,6), up
+             to 74 ns at N = 500, where one bisect per part weighs more
+  dot        one product T_M[n - j] * q(j) of the split: 150-340 ns at
+             N = 500 to 50000, as the counts grow with N.  The primes on
+             2000,10000,20000 priced their split at 1.05 s against 2.71 s
+             for the table (an upper bound: N * A(N) additions); they
+             took 0.97-1.03 s and 1.62-1.71 s
 """
 
 STEP_PS = {"table": 60_000, "series": 360_000, "sieve": 8_000,
-           "lucy": 120_000, "walk": 1_500, "enclosure": 180_000}
+           "lucy": 120_000, "walk": 1_500, "enclosure": 180_000,
+           "pair": 45_000, "dot": 250_000}

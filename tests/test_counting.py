@@ -4,15 +4,17 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partgrowth import counting, genfun, partsets
 from partgrowth.cli import parse_grid
+from partgrowth._costs import STEP_PS
 from partgrowth.counting import (_TAIL_TARGET, BRUTEFORCE_LIMIT,
                                  PartitionTable, _euler_quotient, _euler_step,
                                  _grid_costs, _hrr_count, _hrr_sum,
-                                 _pentagonal_offsets, _table_costs, _tail_bound,
+                                 _pentagonal_offsets, _split_counts,
+                                 _split_steps, _table_costs, _tail_bound,
                                  check_cofinite_monotonicity,
                                  check_shift_monotonicity, check_window_max,
                                  count_partitions_bruteforce, grid_counts,
@@ -20,8 +22,8 @@ from partgrowth.counting import (_TAIL_TARGET, BRUTEFORCE_LIMIT,
                                  scaled_count, table_from_parts,
                                  window_max_location)
 from partgrowth.partsets import (AllParts, CofiniteTail, FiniteParts,
-                                 PrimeParts, ResidueParts, enumerate_parts,
-                                 iter_parts)
+                                 PrimeParts, ResidueParts, counting_function,
+                                 enumerate_parts, iter_parts)
 
 FAMILY = [
     AllParts(),
@@ -309,17 +311,45 @@ def test_grid_route_choice_is_estimate_only(monkeypatch):
     def refuse(*args):
         raise AssertionError("the chooser started counting")
 
-    for name in ("_hrr_sum", "partition_table", "_euler_quotient"):
+    for name in ("_hrr_sum", "partition_table", "_euler_quotient",
+                 "table_from_parts", "_split_counts"):
         monkeypatch.setattr(counting, name, refuse)
-    # 144000 table steps at 60 ns against 381818 series steps at 360 ns
+    # 144000 quotient steps at 60 ns against 381818 series steps at 360 ns
     assert _grid_costs(AllParts(), parse_grid("geo:1:2000:1.01")) == {
-        "table": 8_640_000_000, "series": 137_454_480_000}
+        "coin": 120_060_000_000, "quotient": 8_640_000_000,
+        "split": 92_334_590_000, "series": 137_454_480_000}
     # the figures in STEP_PS' docstring: 18200000 and 40889 steps
     assert _grid_costs(AllParts(), BENCH_GRID) == {
-        "table": 1_092_000_000_000, "series": 14_720_040_000}
+        "coin": 75_001_500_000_000, "quotient": 1_092_000_000_000,
+        "split": 47_931_892_340_000, "series": 14_720_040_000}
     assert parse_grid("geo:1000:50000:2.5") == BENCH_GRID
     for spec in FAMILY[1:]:
-        assert set(_grid_costs(spec, BENCH_GRID)) == {"table"}, spec
+        assert set(_grid_costs(spec, BENCH_GRID)) == {
+            "coin", "quotient", "split"}, spec
+
+
+def test_a_grid_is_priced_once(monkeypatch):
+    priced, counted = [], []
+
+    def table_costs(*args):
+        priced.append(args[:2])
+        return _table_costs(*args)
+
+    def count(spec, x):
+        counted.append(x)
+        return counting_function(spec, x)
+
+    monkeypatch.setattr(counting, "_table_costs", table_costs)
+    monkeypatch.setattr(counting, "counting_function", count)
+    # the table, the split and the series each take one of these
+    for spec in FAMILY:
+        for grid in ((1, 7, 40, 333), (1000, 2500, 6000)):
+            priced.clear()
+            counted.clear()
+            grid_counts(spec, grid)
+            # one price, and no A(x) counted twice: A(grid[-1]) is shared
+            assert len(priced) == 1, (spec, grid)
+            assert len(counted) == len(set(counted)), (spec, grid)
 
 
 def test_forced_fallback_reads_the_table(monkeypatch, pentagonal_50k):
@@ -339,6 +369,24 @@ def test_forced_fallback_reads_the_table(monkeypatch, pentagonal_50k):
     assert built == [1200]
 
 
+def test_forced_split_matches_the_table(monkeypatch):
+    def split_first(spec, grid):
+        return {**priced(spec, grid), "split": 0}
+
+    def counted(spec, grid):
+        taken.append(grid)
+        return _split_counts(spec, grid)
+
+    priced, taken = _grid_costs, []
+    monkeypatch.setattr(counting, "_grid_costs", split_first)
+    monkeypatch.setattr(counting, "_split_counts", counted)
+    grid = (1, 7, 40, 333)
+    for spec in FAMILY:
+        table = partition_table(spec, grid[-1])
+        assert grid_counts(spec, grid) == tuple(table[n] for n in grid), spec
+    assert taken == [grid] * len(FAMILY)
+
+
 def test_grid_counts_match_the_table_for_every_set():
     grid = (1, 7, 40, 333)
     for spec in FAMILY:
@@ -351,14 +399,16 @@ def test_grid_counts_match_the_table_for_every_set():
 #: (chooser, set, limit or grid, the route it picks) on every benchmark
 #: operation's input, every golden input and the edge cases above.  The
 #: choosers are partition_table ("table": coin or quotient), grid_counts
-#: ("grid": table or series), density_profile for the primes ("primes":
-#: sieve or lucy) and tauberian_probe's cut ("cut": the M it keeps).
+#: ("grid": table, split or series, where table is one table to grid[-1]
+#: by the route partition_table would take), density_profile for the
+#: primes ("primes": sieve or lucy) and tauberian_probe's cut ("cut": the
+#: M it keeps).
 PICKS = [
     # the benchmark's operations
     ("table", ResidueParts(2, (1,)), 20_000, "quotient"),
     ("grid", ResidueParts(2, (1,)), (2000, 10_000, 20_000), "table"),
     ("table", PrimeParts(), 20_000, "coin"),
-    ("grid", PrimeParts(), (2000, 10_000, 20_000), "table"),
+    ("grid", PrimeParts(), (2000, 10_000, 20_000), "split"),
     ("table", CofiniteTail(3), 5000, "quotient"),
     ("table", ResidueParts(4, (1, 3)), 2000, "quotient"),
     ("table", CofiniteTail(3), 2000, "quotient"),
@@ -390,7 +440,7 @@ PICKS = [
     ("table", ResidueParts(2, (1,)), 200, "quotient"),
     ("grid", CofiniteTail(3), (50, 100, 200), "table"),
     ("table", CofiniteTail(3), 200, "quotient"),
-    ("grid", PrimeParts(), (50, 100, 200, 400), "table"),
+    ("grid", PrimeParts(), (50, 100, 200, 400), "split"),
     ("table", PrimeParts(), 400, "coin"),
     ("grid", ResidueParts(3, (1, 2)), (50, 100, 200), "table"),
     ("table", ResidueParts(3, (1, 2)), 200, "quotient"),
@@ -421,7 +471,7 @@ PICKS = [
     ("grid", AllParts(), (10 ** 6,), "series"),
     ("grid", AllParts(), (10 ** 5, 10 ** 6), "series"),
     ("grid", AllParts(), (1, 7, 40, 333), "table"),
-    ("grid", PrimeParts(), BENCH_GRID, "table"),
+    ("grid", PrimeParts(), BENCH_GRID, "split"),
     ("primes", PrimeParts(), (10, 100, 300), "sieve"),
     ("primes", PrimeParts(), (1000, 2000, 4000, 8000, 16_000, 32_000,
                               64_000, 100_000), "sieve"),
@@ -434,16 +484,26 @@ PICKS = [
     ("cut", None, (1,), 1),
     ("cut", None, (119,), 119),
     ("cut", None, (120,), 0),
+    # the split: dense residue sets without an E(x^d) factor and long-gap
+    # tails take it too; all parts never do
+    ("grid", ResidueParts(5, (1, 4)), (2000, 10_000, 20_000), "split"),
+    ("grid", ResidueParts(7, (2, 3, 6)), (1000, 5000, 10_000), "split"),
+    ("grid", CofiniteTail(1500), (2000,), "split"),
+    ("grid", AllParts(), (2000, 10_000, 20_000), "series"),
 ]
 
 
 def _pick(chooser, spec, arg):
-    """The route the chooser takes on (spec, arg), from its prices alone."""
+    """The route the chooser takes on (spec, arg), from its prices alone;
+    a grid's coin or quotient pick reads "table"."""
     costs = {"table": lambda: _table_costs(spec, arg),
              "grid": lambda: _grid_costs(spec, arg),
              "primes": lambda: partsets._prime_costs(arg),
              "cut": lambda: genfun._cut_costs(arg)}[chooser]()
-    return min(costs, key=costs.get)
+    route = min(costs, key=costs.get)
+    if chooser == "grid" and route in ("coin", "quotient"):
+        return "table"
+    return route
 
 
 @pytest.mark.parametrize("chooser, spec, arg, route", PICKS)
@@ -453,16 +513,20 @@ def test_every_chooser_keeps_its_pick(chooser, spec, arg, route):
     assert _pick(chooser, spec, arg) == route
 
 
+def _walked_coin_steps(spec, top, limit):
+    """The coin DP's steps to limit over the parts <= top, walked."""
+    return sum(limit - a + 1 for a in iter_parts(spec, top)) if top else 0
+
+
 def _walked_route(spec, limit):
     """partition_table's route as it was once priced, by walking every
     part <= limit: the reference for the closed forms."""
     if limit < 1:
         return "coin"
     member = bytearray(limit + 1)
-    coin_cost = 0
     for a in iter_parts(spec, limit):
         member[a] = 1
-        coin_cost += limit - a + 1
+    coin_cost = _walked_coin_steps(spec, limit, limit)
     d = _euler_step(spec, limit)
     excluded = [a for a in range(1, limit + 1)
                 if not member[a] and (d == 0 or a % d)]
@@ -509,6 +573,83 @@ def test_table_price_is_estimate_only(monkeypatch, spec, limit, route):
 @example(spec=CofiniteTail(3000), limit=2000)
 def test_table_pick_matches_the_walk_of_the_parts(spec, limit):
     assert _pick("table", spec, limit) == _walked_route(spec, limit)
+    # the prices themselves: exact for every set but the primes, whose
+    # closed form is limit * A(limit) or N * A(M)
+    exact = not isinstance(spec, PrimeParts)
+    coin = _table_costs(spec, limit)["coin"]
+    walked = STEP_PS["table"] * _walked_coin_steps(spec, limit, limit)
+    assert coin == walked if exact else coin >= walked
+    if limit < 1:
+        return
+    steps = _split_steps(spec, (limit,), counting_function(spec, limit))
+    walked = _walked_coin_steps(spec, limit // 3, limit)
+    assert steps["table"] == walked if exact else steps["table"] >= walked
+    big = sorted(iter_parts(spec, limit, limit // 3 + 1))
+    pairs = sum(a + b <= limit for i, a in enumerate(big) for b in big[i:])
+    assert steps["pair"] >= len(big) + pairs
+
+
+#: Sets for the split: the primes, finite sets, non-symmetric and
+#: symmetric residue sets and tails with a long gap.
+SPLIT_SPECS = st.one_of(
+    st.just(PrimeParts()),
+    st.sets(st.integers(1, 700), min_size=1, max_size=12)
+    .map(lambda ps: FiniteParts(tuple(sorted(ps)))),
+    _residue_sets(),
+    st.integers(2, 12).flatmap(lambda m: st.integers(1, m // 2).map(
+        lambda r: ResidueParts(m, tuple(sorted({r, m - r}))))),
+    st.integers(1, 700).map(CofiniteTail),
+)
+GRIDS = (st.lists(st.integers(1, 600), min_size=1, max_size=5, unique=True)
+         .map(lambda g: tuple(sorted(g))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=SPLIT_SPECS, grid=GRIDS,
+       tiny=st.lists(st.integers(1, BRUTEFORCE_LIMIT), min_size=1,
+                     max_size=3, unique=True).map(lambda g: tuple(sorted(g))))
+# grid[-1] = 2 (mod 3), where 3 (M + 1) = grid[-1] + 1: 599 and 38
+@example(spec=PrimeParts(), grid=(599,), tiny=(38,))
+@example(spec=ResidueParts(5, (1, 4)), grid=(2, 150, 200, 598), tiny=(2, 35))
+# no part in (M, grid[-1]]: every count comes from the coin DP
+@example(spec=FiniteParts((1, 2, 3)), grid=(10, 50, 300), tiny=(40,))
+@example(spec=CofiniteTail(450), grid=(100, 460, 600), tiny=(1, 40))
+@example(spec=FiniteParts((5, 700)), grid=(600,), tiny=(5,))
+def test_split_matches_the_coin_dp_and_brute_force(spec, grid, tiny):
+    top = max(grid[-1], tiny[-1])
+    parts = enumerate_parts(spec, top)
+    dp = table_from_parts(parts, grid[-1], spec=spec)
+    assert _split_counts(spec, grid) == tuple(dp[n] for n in grid)
+    assert _split_counts(spec, tiny) == tuple(
+        count_partitions_bruteforce(parts, n) for n in tiny)
+
+
+@pytest.mark.parametrize("spec, grid", [
+    (PrimeParts(), (2000, 10 ** 6)),
+    (ResidueParts(5, (1, 4)), (10 ** 9,)),
+    (FiniteParts((1, 2, 3)), (10 ** 9,)),
+])
+def test_split_price_is_estimate_only(monkeypatch, spec, grid):
+    def refuse(*args):
+        raise AssertionError("the price started building")
+
+    for module, name in [
+            (counting, "iter_parts"), (counting, "enumerate_parts"),
+            (counting, "table_from_parts"), (counting, "_split_counts"),
+            (counting, "_euler_quotient"),
+            (partsets, "iter_parts"), (partsets, "enumerate_parts"),
+            (partsets, "_ensure_sieved")]:
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(partsets, "_prime_sieve", (bytearray(), [0]))
+    tracemalloc.start()
+    try:
+        costs = _grid_costs(spec, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert set(costs) == {"coin", "quotient", "split"}
+    # Lucy's lists of isqrt(10**6) ints for the primes
+    assert peak < 256_000
 
 
 # -- gcd-scaled counts ------------------------------------------------------
