@@ -10,10 +10,12 @@ for the sieve and Lucy):
 
   table      a big-int addition of the Euler quotient or the coin DP:
              52-80 ns at limits 500 to 50000
-  series     per N(n)^2 of Rademacher's series: 250-560 ns at n = 100 to
-             10**6, 920 ns at 10**7 (1.44 s), where the table still prices
-             at 5500 times the series.  geo:1000:50000:2.5 prices its table
-             and six sums at 1.09 s and 15 ms; they took 1 s and 11 ms
+  series     per N(n)^2 of Rademacher's series in decimal: 0.9-1.4 us at
+             n = 111 to 5000 (from 210 to 1000 the table is up to 0.7 ms
+             cheaper), 360-400 ns at 5 * 10**4 to 10**6, 830 ns at 10**7
+             (1.30 s), where the table still prices at 5500 times the series.
+             geo:1000:50000:2.5 prices its table and six sums at 1.09 s and
+             15 ms; they took 1 s and 19 ms
   sieve      per integer of a fresh sieve: 3-4 ns to 10**6, 7.1 ns to 10**7
              and 12.2 ns to 2 * 10**7, as its flags leave the CPU caches
   lucy       per x^(3/4) of _lucy(x): 172, 133 and 112 ns at 10**6, 10**7

@@ -49,11 +49,11 @@ pick there too):
     parts only.  p(n) = sum_{k>=1} 4/(24n-1) * S_k(n) * U(C/k) with
     C = (pi/6) sqrt(24n - 1), U(x) = cosh x - sinh(x)/x and Selberg's
     S_k(n) = sum (-1)^l cos(pi (6l+1) / (6k)) over the l in [0, 2k) with
-    l(3l+1)/2 = -n (mod k).  Rademacher's tail bound fixes the number of
-    terms, the terms too large for a double are summed in decimal, and
-    every term carries a bound on its rounding error.  The nearest
-    integer is taken only when the sum lies within 1/2 minus those
-    bounds of it (Ziv's test); a point that fails is read off a table.
+    l(3l+1)/2 = -n (mod k).  Rademacher's tail bound fixes the number
+    N(n) of terms, and every term is summed in decimal with a bound on its
+    rounding error, which needs C >= N(n) (n >= 111).  The nearest integer
+    is taken only when the sum lies within 1/2 minus those bounds of it
+    (Ziv's test); a smaller point, or one that fails, is read off a table.
 
 Dense grids and small grids of all parts take the table.
 
@@ -100,9 +100,13 @@ class PartitionTable(_Record):
 
 
 def table_from_parts(parts, limit, spec=None) -> PartitionTable:
-    """DP table from an explicit part list (order of parts is irrelevant)."""
+    """DP table from an explicit part list (order of parts is irrelevant);
+    without a spec, one pass over the parts makes a FiniteParts first."""
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
+    if spec is None:
+        parts = tuple(sorted(parts))
+        spec = FiniteParts(parts)
     values = [0] * (limit + 1)
     values[0] = 1
     for a in parts:
@@ -112,8 +116,6 @@ def table_from_parts(parts, limit, spec=None) -> PartitionTable:
             continue
         for n in range(a, limit + 1):
             values[n] += values[n - a]
-    if spec is None:
-        spec = FiniteParts(tuple(sorted(parts)))
     return PartitionTable(spec=spec, limit=limit, values=tuple(values))
 
 
@@ -382,13 +384,6 @@ _SAFETY = 1 + 2.0 ** -20
 #: Decimal digits a term carries below its own magnitude and its error
 #: count E (see _hrr_sum).
 _GUARD_DIGITS = 15
-#: A term whose magnitude bound is below this is summed in floats.
-_FLOAT_TERM_MAX = 2.0 ** 24
-#: Unit of a float term's error count: 4u = 2**-51 covers libm's cos,
-#: cosh and sinh, within 2 ulps in glibc's published error table.
-_FLOAT_UNIT = 2.0 ** -51
-#: The Taylor terms a float cosine stands for in the error count.
-_FLOAT_TAYLOR = 9
 
 
 def _tail_bound(n, terms) -> float:
@@ -413,8 +408,8 @@ def _term_count(n) -> int:
 
 def _hrr_count(n) -> Optional[int]:
     """p(n) from the Hardy-Ramanujan-Rademacher series, or None when the
-    sum does not settle it: n < 2, where the tail bound does not hold,
-    or a sum that fails Ziv's test."""
+    sum does not settle it: n < 2 or C < N(n), where the tail or the
+    rounding bound does not hold (see _hrr_sum), or Ziv's test fails."""
     if n < 2:
         return None
     terms, total, rounding = _hrr_sum(n)
@@ -428,25 +423,23 @@ def _hrr_count(n) -> Optional[int]:
 def _hrr_sum(n):
     """(N, total, rounding) for n >= 2: the sum of the first
     N = _term_count(n) terms of the series for p(n), as an exact
-    Decimal, and a bound on its distance from their exact sum.
+    Decimal, and a bound on its distance from their exact sum, inf when
+    the bound does not hold.
 
     Term k is f * S * U with f = 4/(24n - 1), S = S_k(n) over m indices
     and U = U(x), x = C/k.  As |S| <= m and 0 <= U <= cosh x, its
-    magnitude is at most b = f * m * cosh x.  Let every operation be
-    rounded within a relative unit eps (1/2 ulp in decimal, where each
-    operation is correctly rounded).  Then pi lies within 2 eps, x within
-    6 eps, e^x, 1/e^x and cosh x within (6x + 3) eps, and sinh(x)/x
-    within 27 eps of cosh x (from e^x for x >= 1 in decimal, by
-    math.sinh at any x in floats); so U lies within (6.1x + 32) eps of
-    cosh x.  Each cosine is a Taylor series of J terms at an argument
-    reduced to [0, pi/4], within (2J + 12) eps; m of them make S within
+    magnitude is at most b = f * m * cosh x.  Every operation is a
+    correctly rounded decimal one, within a relative unit eps = 1/2 ulp.
+    Then pi lies within 2 eps, x within 6 eps, e^x, 1/e^x and cosh x
+    within (6x + 3) eps, and, for x >= 1, sinh(x)/x within 27 eps of
+    cosh x; so U lies within (6.1x + 32) eps of cosh x.  Every x is at
+    least C/N, so the sum is refused when C < N, which is n < 111.  Each
+    cosine is a Taylor series of J terms at an argument reduced to
+    [0, pi/4], within (2J + 12) eps; m of them make S within
     m(2J + 12 + m) eps.  So the term lies within b * eps * E of its
     value, E = 7x + 2J + m + 50, while E * eps <= 0.01 keeps the error
-    first order.  A term with b < _FLOAT_TERM_MAX or x < 1 takes floats,
-    eps = _FLOAT_UNIT and J = _FLOAT_TAYLOR, and math.fsum adds those
-    within 2**-53 of their sum; the others take decimal with enough
-    digits for b * eps * E to be near 10**-_GUARD_DIGITS, and add
-    exactly.
+    first order.  Each term takes enough digits for b * eps * E to be
+    near 10**-_GUARD_DIGITS, and the terms add exactly.
     """
     exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
                             Emin=decimal.MIN_EMIN)
@@ -454,8 +447,9 @@ def _hrr_sum(n):
     f = 4 / (24 * n - 1)
     c = math.pi / 6 * math.sqrt(24 * n - 1)
     total = decimal.Decimal(0)
-    floats, float_sizes, rounding = [], 0.0, 0.0
-    pi, pi_digits = None, 0
+    if c < terms:
+        return terms, total, math.inf
+    rounding, pi, pi_digits = 0.0, None, 0
     # S_k(n) sums over the l in [0, 2k) with l(3l + 1)/2 + n = 0 (mod k)
     shifted = [l * (3 * l + 1) // 2 + n for l in range(2 * terms)]
     for k in range(1, terms + 1):
@@ -464,15 +458,6 @@ def _hrr_sum(n):
         if not m:
             continue
         log_b = math.log10(f * m) + x / math.log(10)   # cosh x <= e^x
-        if log_b < math.log10(_FLOAT_TERM_MAX) or x < 1:
-            s = sum(math.cos(math.pi * (6 * l + 1) / (6 * k)) * (-1) ** l
-                    for l in indices)
-            cosh = math.cosh(x)
-            floats.append(f * s * (cosh - math.sinh(x) / x))
-            b = f * m * cosh
-            float_sizes += b
-            rounding += b * _FLOAT_UNIT * (7 * x + 2 * _FLOAT_TAYLOR + m + 50)
-            continue
         count = 7 * x + m + 50
         prec = max(2, int(log_b) + 2 + _GUARD_DIGITS + int(math.log10(count)))
         if prec >= pi_digits:
@@ -487,8 +472,6 @@ def _hrr_sum(n):
         if count * eps > 0.01:
             return terms, total, math.inf
         rounding += 0.5 * count * 10.0 ** (log_b + 1 - prec)
-    total = exact.add(total, decimal.Decimal(math.fsum(floats)))
-    rounding += float_sizes * 2.0 ** -53
     return terms, total, _SAFETY * rounding
 
 
@@ -523,26 +506,25 @@ def _decimal_term(n, k, indices, pi, ctx):
                      ctx.divide(ctx.subtract(e, inv), ctx.multiply(2, x)))
     s, taylor = ctx.create_decimal(0), 0
     for l in indices:
-        cos, steps = _cos_pi(Fraction(6 * l + 1, 6 * k), pi, ctx)
+        cos, steps = _cos_pi(6 * l + 1, 6 * k, pi, ctx)
         s = ctx.add(s, cos if l % 2 == 0 else cos.copy_negate())
         taylor = max(taylor, steps)
     return ctx.divide(ctx.multiply(ctx.multiply(4, s), u), 24 * n - 1), taylor
 
 
-def _cos_pi(q, pi, ctx):
-    """(cos(pi q), the Taylor terms taken) for a rational q: the argument
-    is reduced exactly to [0, 1/4], then one Taylor series of cos or sin
-    runs until its terms fall below 10**-(prec + 1)."""
-    q %= 2
-    if q > 1:
-        q = 2 - q                       # cos(pi q) = cos(pi (2 - q))
-    negate = q > Fraction(1, 2)
+def _cos_pi(a, d, pi, ctx):
+    """(cos(pi q), the Taylor terms taken) for q = a/d, ints a and d >= 1:
+    q is reduced exactly to [0, 1/4] in ints, then one Taylor series of
+    cos or sin runs until its terms fall below 10**-(prec + 1)."""
+    a %= 2 * d
+    a = min(a, 2 * d - a)               # cos(pi q) = cos(pi (2 - q))
+    negate = 2 * a > d
     if negate:
-        q = 1 - q                       # cos(pi q) = -cos(pi (1 - q))
-    odd = q > Fraction(1, 4)
+        a = d - a                       # cos(pi q) = -cos(pi (1 - q))
+    odd = 4 * a > d
     if odd:
-        q = Fraction(1, 2) - q          # cos(pi q) = sin(pi (1/2 - q))
-    y = ctx.divide(ctx.multiply(pi, q.numerator), q.denominator)
+        a, d = d - 2 * a, 2 * d         # cos(pi q) = sin(pi (1/2 - q))
+    y = ctx.divide(ctx.multiply(pi, a), d)
     minus_y2 = ctx.multiply(y, y).copy_negate()
     term = y if odd else ctx.create_decimal(1)
     total, j, steps = term, int(odd), 0

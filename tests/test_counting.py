@@ -1,7 +1,9 @@
 """Exact tables, the pentagonal recurrence, and the structural checks."""
 
+import math
 import random
 import tracemalloc
+from itertools import count
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +17,7 @@ from partgrowth.counting import (_TAIL_TARGET, BRUTEFORCE_LIMIT,
                                  _grid_costs, _hrr_count, _hrr_sum,
                                  _pentagonal_offsets, _split_counts,
                                  _split_steps, _table_costs, _tail_bound,
+                                 _term_count,
                                  check_cofinite_monotonicity,
                                  check_shift_monotonicity, check_window_max,
                                  count_partitions_bruteforce, grid_counts,
@@ -80,6 +83,37 @@ def test_dp_permutation_invariance():
         shuffled = parts[:]
         rng.shuffle(shuffled)
         assert table_from_parts(shuffled, 120).values == reference.values
+
+
+class _Recorded:
+    """An iterable of parts that counts the passes taken over it."""
+
+    def __init__(self, parts):
+        self.parts, self.passes = parts, 0
+
+    def __iter__(self):
+        self.passes += 1
+        return iter(self.parts)
+
+
+def test_dp_reads_its_parts_once():
+    # a one-shot stream makes the default spec and the table both
+    odd = ResidueParts(2, (1,))
+    table = table_from_parts(iter_parts(odd, 9), 9)
+    assert table.spec == FiniteParts((1, 3, 5, 7, 9))
+    assert table.values == partition_table(odd, 9).values
+    parts = _Recorded(range(1, 10, 2))
+    assert table_from_parts(parts, 9) == table and parts.passes == 1
+    # a duplicate part or a part < 1 is refused from that one pass, so
+    # before the DP, which would take a second
+    for bad, rule in (([3, 1, 3], "strictly increasing"),
+                      ([2, 0], "must be >= 1")):
+        parts = _Recorded(bad)
+        with pytest.raises(ValueError, match=rule):
+            table_from_parts(parts, 9)
+        assert parts.passes == 1, bad
+    with pytest.raises(ValueError, match="must be >= 1"):
+        table_from_parts([2, 0], 9, spec=FiniteParts((2,)))
 
 
 def test_restricted_counts_bounded_by_unrestricted():
@@ -260,15 +294,46 @@ def test_large_n_against_rademacher(pentagonal_50k):
 BENCH_GRID = (1000, 2500, 6250, 15625, 39062, 50000)
 
 
-def test_point_counts_match_the_table(pentagonal_50k):
-    # every n <= 1000, then 200 seeded points up to 50000
-    points = [*range(2, 1001), *random.Random(22).sample(range(1001, 50_001), 200)]
+def _series_start():
+    """n0, the least n >= 2 with C >= N(n): every x = C/k of the series
+    is then >= 1, as its rounding bound needs."""
+    return next(n for n in count(2)
+                if math.pi / 6 * math.sqrt(24 * n - 1) >= _term_count(n))
+
+
+def test_point_counts_match_the_table(monkeypatch, pentagonal_50k):
+    # below 2 the tail bound does not hold, below n0 the rounding bound
+    n0 = _series_start()
+    assert all(_hrr_count(n) is None for n in range(n0))
+    # every n from n0 to 1000, then 200 seeded points up to 50000
+    points = [*range(n0, 1001), *random.Random(22).sample(range(1001, 50_001), 200)]
     for n in points:
         assert _hrr_count(n) == pentagonal_50k[n], n
-    # below 2 the tail bound does not hold; grid_counts reads a table
-    assert _hrr_count(0) is None and _hrr_count(1) is None
-    assert grid_counts(AllParts(), (1,) + BENCH_GRID) == tuple(
-        pentagonal_50k[n] for n in (1,) + BENCH_GRID)
+    # grid_counts reads every point below n0 off one table
+    built = []
+
+    def counted(spec, limit):
+        built.append(limit)
+        return partition_table(spec, limit)
+
+    monkeypatch.setattr(counting, "partition_table", counted)
+    for grid in ((1,) + BENCH_GRID, (2, 57, 110, 111, 210) + BENCH_GRID):
+        built.clear()
+        assert _pick("grid", AllParts(), grid) == "series"
+        assert grid_counts(AllParts(), grid) == tuple(
+            pentagonal_50k[n] for n in grid)
+        assert built == [max(n for n in grid if n < n0)], grid
+
+
+def test_no_series_term_calls_libm(monkeypatch, pentagonal_50k):
+    def refuse(x):
+        raise AssertionError("a series term called libm")
+
+    # math.sinh stays: _tail_bound takes it to size the series
+    monkeypatch.setattr(math, "cos", refuse)
+    monkeypatch.setattr(math, "cosh", refuse)
+    for n in (111, 1000, 50_000):
+        assert _hrr_count(n) == pentagonal_50k[n], n
 
 
 def test_point_counts_against_sympy():
@@ -294,13 +359,15 @@ def _series_prefix(n, terms):
     return total
 
 
-@pytest.mark.parametrize("n", [2, 3, 47, 100, 1000, 4321, 50_000])
+@pytest.mark.parametrize("n", [2, 3, 47, 100, 111, 112, 147, 200, 1000,
+                               4321, 50_000])
 def test_series_sum_lies_within_its_bounds(n, pentagonal_50k):
     mpmath = pytest.importorskip("mpmath")
     terms, total, rounding = _hrr_sum(n)
     # the least number of terms whose tail bound meets the target
     assert _tail_bound(n, terms) <= _TAIL_TARGET < _tail_bound(n, terms - 1)
-    assert rounding < 1e-6
+    # below n0 some x = C/k < 1, where no rounding bound is claimed
+    assert rounding < 1e-6 if n >= _series_start() else rounding == math.inf
     with mpmath.workdps(len(str(pentagonal_50k[n])) + 30):
         prefix = _series_prefix(n, terms)
         assert abs(mpmath.mpf(str(total)) - prefix) <= rounding
